@@ -93,7 +93,11 @@ def cmd_isotropic_sweep(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 1:
+        raise StateValidationError(f"--trials must be >= 1, got {args.trials}")
     dims = tuple(args.dims)
+    if min(dims) < 2:
+        raise StateValidationError(f"--dims must both be >= 2, got {dims[0]},{dims[1]}")
     report = fuzz_inequality(args.trials, dims, args.seed)
     print(report.to_json())
     if report.violations:

@@ -17,6 +17,11 @@ import numpy as np
 from .errors import IndexOutOfRange, InvariantViolation
 from .linalg import DensityMatrix, PureState, partial_trace_B_vec
 
+# A best margin within this many float64 ulps of its own scale is roundoff,
+# not signal (on pure product states, whose margin is 0, it reaches about 3).
+_ROUNDOFF_ULPS = 16
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class PairIndex:
@@ -80,13 +85,8 @@ def _check_pair(q: DensityMatrix, p: PairIndex) -> None:
         )
 
 
-def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
-    """Signed margin 2(|Q_ik,jl| - sqrt(Q_il,il Q_jk,jk)) for one index pair.
-
-    With mirrored=True the roles of k and l swap: the (il),(jk) coherence is
-    compared against the (ik),(jl) diagonals.
-    """
-    _check_pair(q, p)
+def _pair_terms(q: DensityMatrix, p: PairIndex, mirrored: bool) -> tuple[float, float]:
+    """The coherence |Q_ik,jl| and the diagonal root sqrt(Q_il,il Q_jk,jk) of one pair."""
     m, dB = q.mat, q.dimB
     ik = p.i * dB + p.k
     il = p.i * dB + p.l
@@ -98,14 +98,30 @@ def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
     else:
         coh = abs(m[ik, jl])
         diag = m[il, il].real * m[jk, jk].real
-    return float(2.0 * (coh - math.sqrt(max(diag, 0.0))))
+    return coh, math.sqrt(max(diag, 0.0))
+
+
+def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
+    """Signed margin 2(|Q_ik,jl| - sqrt(Q_il,il Q_jk,jk)) for one index pair.
+
+    With mirrored=True the roles of k and l swap: the (il),(jk) coherence is
+    compared against the (ik),(jl) diagonals.
+    """
+    _check_pair(q, p)
+    coh, root = _pair_terms(q, p, mirrored)
+    return float(2.0 * (coh - root))
 
 
 def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     """Maximize the pair margin over all index pairs and both orientations.
 
     Ties break lexicographically on (i, j, k, l, mirrored) after the full
-    enumeration, so the result is independent of evaluation order.
+    enumeration, so the result is independent of evaluation order.  A best
+    margin within roundoff of zero (_ROUNDOFF_ULPS units of the witness
+    pair's |coherence| + sqrt(diagonal product)) gives bound 0: on a pure
+    product state the margin is exactly 0 but evaluates to a few ulps either
+    side, and a positive roundoff must not certify entanglement.  `value`
+    keeps the raw signed margin.
     """
     best_value = -math.inf
     best_pair = None
@@ -121,8 +137,10 @@ def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
                     best_mirrored = mirrored
     if best_pair is None:
         raise IndexOutOfRange("dims too small: need dimA >= 2 and dimB >= 2")
+    coh, root = _pair_terms(q, best_pair, best_mirrored)
+    roundoff = _ROUNDOFF_ULPS * _EPS * (coh + root)
     return GeneralBoundReport(
-        bound=max(0.0, best_value),
+        bound=best_value if best_value > roundoff else 0.0,
         argmax_pair=best_pair,
         mirrored=best_mirrored,
         value=best_value,

@@ -30,16 +30,26 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
     """Parse and validate a density-matrix JSON file."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StateValidationError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StateValidationError("top level must be a JSON object")
     for key in ("dimA", "dimB", "re", "im"):
         if key not in payload:
             raise StateValidationError(f"missing required key {key!r}")
-    dimA, dimB = int(payload["dimA"]), int(payload["dimB"])
+    for key in ("dimA", "dimB"):
+        if type(payload[key]) is not int:
+            raise StateValidationError(f"{key} must be an integer, got {payload[key]!r}")
+    dimA, dimB = payload["dimA"], payload["dimB"]
     if dimA < 1 or dimB < 1:
         raise StateValidationError(f"dims must be positive, got ({dimA},{dimB})")
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
+    try:
+        re = np.asarray(payload["re"], dtype=float)
+        im = np.asarray(payload["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StateValidationError(
+            f"re/im must be rectangular arrays of numbers: {exc}"
+        ) from exc
     if re.shape != im.shape:
         raise StateValidationError(
             f"re/im shapes differ: {re.shape} vs {im.shape}"

@@ -1,7 +1,8 @@
 """Numerical ground truth and adversarial search.
 
 convex_roof_upper minimizes the ensemble-average pure-state concurrence over
-pure decompositions; the result is an upper bound on the true concurrence.
+pure decompositions by L-BFGS with an analytic gradient; the result is an
+upper bound on the true concurrence.
 fuzz_inequality hammers the lower bound against that reference (or against the
 exact two-qubit value).  optimize_basis searches local unitaries for the basis
 that maximizes the X bound.
@@ -27,6 +28,10 @@ from .two_qubit import (
 from .errors import InvariantViolation
 
 _RANK_TOL = 1e-12
+# Each start runs one L-BFGS stage per width: the smoothed stages carry the
+# search past the kinks where a column turns product (see
+# _column_concurrence), and the last stage minimizes the average itself.
+_SMOOTHING = (1e-3, 1e-6, 0.0)
 
 
 @dataclass(frozen=True)
@@ -59,29 +64,52 @@ class RoofResult:
     improved: bool  # False: no restart beat the plain eigendecomposition average
 
 
-def _subnorm_concurrence(col: np.ndarray, dimA: int, dimB: int) -> float:
-    # Degree-2 homogeneous in the weight: equals p * C(psi) for col = sqrt(p) psi.
+def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int,
+                        smoothing: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence of every column of cols (D x m) and its gradient.
+
+    Degree-2 homogeneous in the weight: a column sqrt(p) psi gives p C(psi).
+    Each value is sqrt(S + smoothing^2) with S the squared concurrence, so
+    smoothing = 0 gives the concurrence itself and smoothing > 0 rounds off
+    its kink at product columns.  The gradient is d/dRe + i d/dIm of each
+    value, and 0 where the value is 0.
+    """
     if dimA == 2 and dimB == 2:
-        return 2.0 * abs(col[0] * col[3] - col[1] * col[2])
-    m = col.reshape(dimA, dimB)
-    g = m @ m.conj().T
-    tr = np.trace(g).real
-    tr2 = np.trace(g @ g).real
-    return math.sqrt(max(0.0, 2.0 * (tr * tr - tr2)))
+        g = cols[0] * cols[3] - cols[1] * cols[2]
+        sq = 4.0 * (g.real**2 + g.imag**2)
+        num = 4.0 * g * np.stack([cols[3], -cols[2], -cols[1], cols[0]]).conj()
+    else:
+        m = cols.shape[1]
+        mats = cols.reshape(dimA, dimB, m)
+        gram = np.einsum("abm,cbm->acm", mats, mats.conj())
+        tr = np.einsum("aam->m", gram).real
+        tr2 = np.einsum("acm,cam->m", gram, gram).real
+        sq = np.clip(2.0 * (tr * tr - tr2), 0.0, None)
+        num = 4.0 * (tr * mats - np.einsum("acm,cbm->abm", gram, mats))
+        num = num.reshape(dimA * dimB, m)
+    conc = np.sqrt(sq + smoothing * smoothing)
+    return conc, num * np.divide(1.0, conc, out=np.zeros_like(conc), where=conc > 0.0)
 
 
 def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
-                      dimA: int, dimB: int) -> float:
+                      dimA: int, dimB: int, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
+    """Ensemble-average concurrence of the decomposition params encodes, and its gradient.
+
+    params holds the real and imaginary parts of an m x r matrix z; the
+    isometry is Q from z = QR, and the decomposition's subnormalized states
+    are the columns of w Q^T.  The gradient is back-propagated through the
+    QR factorization, whose R has a real diagonal.  smoothing is passed to
+    _column_concurrence.
+    """
     z = (params[: m * r] + 1j * params[m * r :]).reshape(m, r)
-    iso, _ = np.linalg.qr(z)  # m x r, iso^dag iso = I
+    iso, tri = np.linalg.qr(z)  # m x r, iso^dag iso = I
     cols = w @ iso.T  # D x m; sum_j col col^dag reproduces the state
-    if dimA == 2 and dimB == 2:
-        return float(2.0 * np.abs(cols[0] * cols[3] - cols[1] * cols[2]).sum())
-    mats = cols.reshape(dimA, dimB, m)
-    g = np.einsum("abm,cbm->acm", mats, mats.conj())
-    tr = np.einsum("aam->m", g).real
-    tr2 = np.einsum("acm,cam->m", g, g).real
-    return float(np.sqrt(np.clip(2.0 * (tr * tr - tr2), 0.0, None)).sum())
+    conc, gcols = _column_concurrence(cols, dimA, dimB, smoothing)
+    g_iso = (w.conj().T @ gcols).T
+    b = iso.conj().T @ g_iso
+    k = np.tril(b - b.conj().T, -1) + 1j * np.diag(np.diag(b).imag)
+    g_z = np.linalg.solve(tri, (g_iso - iso @ b + iso @ k).conj().T).conj().T
+    return float(conc.sum()), np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
 
 
 def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> RoofResult:
@@ -90,7 +118,9 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     Decompositions of size m are parameterized by m x r isometries mixing the
     scaled eigenvectors (every size-m ensemble arises this way); the isometry
     comes from the QR factorization of an unconstrained complex matrix, and
-    the objective is minimized by multi-restart Nelder-Mead.
+    the objective is minimized by L-BFGS with its analytic gradient, from the
+    eigendecomposition and then from seeded random starts.  cfg.tol is
+    L-BFGS's ftol and gtol, and cfg.max_iters its maxiter in each stage.
     """
     evals, vecs = np.linalg.eigh(q.mat)
     keep = evals > _RANK_TOL
@@ -104,7 +134,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
         cand = DecompositionCandidate(
             weights=np.array([1.0]), states=[PureState(dimA, dimB, psi)]
         )
-        value = _subnorm_concurrence(psi, dimA, dimB)
+        value = float(_column_concurrence(psi[:, None], dimA, dimB)[0][0])
         return RoofResult(value=value, witness=cand, improved=True)
 
     # For two qubits an optimal decomposition of size 4 always exists, and
@@ -121,12 +151,12 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
         raise ValueError(f"decomposition size {m} below rank {r}")
     n_par = 2 * m * r
 
-    def objective(x: np.ndarray) -> float:
-        return _ensemble_average(x, w, m, r, dimA, dimB)
+    def objective(x: np.ndarray, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
+        return _ensemble_average(x, w, m, r, dimA, dimB, smoothing)
 
     # Identity isometry reproduces the eigendecomposition itself.
     x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
-    baseline = objective(x_eye)
+    baseline = objective(x_eye)[0]
 
     # The optimizer can never beat the true concurrence, which in turn is at
     # least the algebraic lower bound, so once the gap to that floor closes
@@ -136,23 +166,17 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
 
     rng = np.random.default_rng(cfg.seed)
     best_x, best_val = x_eye, baseline
-    nm_opts = {"xatol": cfg.tol, "fatol": cfg.tol, "adaptive": True}
     for k in range(cfg.restarts):
         # Once the floor is reached further restarts cannot help.
         if best_val <= floor + stop_slack:
             break
-        x0 = x_eye if k == 0 else rng.standard_normal(n_par)
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": cfg.max_iters, **nm_opts},
-        )
-        # Restarting with a fresh simplex around the incumbent escapes the
-        # collapsed-simplex stalls Nelder-Mead is prone to in this many dims.
-        for _ in range(3):
+        x = x_eye if k == 0 else rng.standard_normal(n_par)
+        for smoothing in _SMOOTHING:
             res = minimize(
-                objective, res.x, method="Nelder-Mead",
-                options={"maxiter": cfg.max_iters // 2, **nm_opts},
+                objective, x, args=(smoothing,), jac=True, method="L-BFGS-B",
+                options={"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": cfg.tol},
             )
+            x = res.x
         if res.fun < best_val:
             best_val, best_x = res.fun, res.x
 
@@ -208,15 +232,16 @@ def fuzz_inequality(
 ) -> FuzzReport:
     """Sample random mixed states and compare the bound against a reference.
 
-    On (2,2) the reference is the exact Wootters concurrence (tolerance 1e-10);
-    otherwise it is the convex-roof upper bound, which dominates the true
-    concurrence, so the comparison is safe at the same direction.  Ranks cycle
-    through 1..dimA*dimB unless an explicit list is given.  Rank-1 two-qubit
-    trials additionally check the signed pure-state inequality |c1| <= C.
+    On (2,2) the reference is the exact Wootters concurrence; otherwise it is
+    the convex-roof upper bound, which dominates the true concurrence, so the
+    comparison is safe at the same direction.  Either way only roundoff needs
+    slack, so the tolerance is 1e-10.  Ranks cycle through 1..dimA*dimB
+    unless an explicit list is given.  Rank-1 two-qubit trials additionally
+    check the signed pure-state inequality |c1| <= C.
     """
     dimA, dimB = dims
     exact_ref = (dimA, dimB) == (2, 2)
-    cmp_tol = 1e-10 if exact_ref else 5e-3
+    cmp_tol = 1e-10
     # The reference only needs to dominate the true concurrence, which any
     # decomposition average does, so the fuzz oracle can run lean.
     if not exact_ref and oracle_cfg is None:

@@ -151,8 +151,8 @@ def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport
     irrelevant.  A positive c1 certifies entanglement; a non-positive c1 is
     inconclusive.
     """
-    if q14_abs < 0:
-        raise OutOfRange(f"|q14| must be non-negative, got {q14_abs}")
+    if not (math.isfinite(q14_abs) and q14_abs >= 0):
+        raise OutOfRange(f"|q14| must be finite and non-negative, got {q14_abs}")
     for name, v in (("d22", d22), ("d33", d33)):
         if not 0.0 <= v <= 1.0:
             raise OutOfRange(f"{name} must lie in [0, 1], got {v}")

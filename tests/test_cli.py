@@ -9,6 +9,7 @@ from xbound import (
     conjugate_by_local_unitary,
     isotropic_matrix,
     projector,
+    pure_state,
     sample_haar_unitary,
 )
 from xbound.cli import main
@@ -81,6 +82,34 @@ class TestBound:
     def test_missing_file(self, capsys):
         assert main(["bound", "/nonexistent/state.json"]) == 2
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (8, 8)])
+    def test_pure_product_inconclusive(self, tmp_path, capsys, dims):
+        # The pair margin of a product state is exactly 0 but evaluates to a
+        # few ulps either side; roundoff must not certify entanglement.
+        rng = np.random.default_rng(dims)
+        path = tmp_path / "product.json"
+        for _ in range(10):
+            a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims)
+            v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+            save_density(projector(pure_state(v, *dims)), path)
+            code = main(["bound", str(path)])
+            out = capsys.readouterr().out
+            assert code == 1
+            assert "verdict=inconclusive" in out
+
+    @pytest.mark.parametrize("payload", [
+        {"dimA": 2, "dimB": 2, "re": [["x", 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
+        {"dimA": 2, "dimB": 2, "re": [[1, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
+        {"dimA": 2.5, "dimB": 2, "re": [[1] + [0] * 3] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
+    ], ids=["non-numeric-re", "ragged-rows", "non-integer-dimA"])
+    def test_malformed_entries(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = main(["bound", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestCertify:
     def test_bell_elements(self, capsys):
@@ -107,6 +136,11 @@ class TestCertify:
     def test_out_of_range(self, capsys):
         code = main(["certify", "--q14", "-1", "--d22", "0", "--d33", "0"])
         assert code == 2
+
+    def test_nan_element(self, capsys):
+        code = main(["certify", "--q14", "nan", "--d22", "0.1", "--d33", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestIsotropicSweep:
@@ -148,6 +182,17 @@ class TestFuzz:
         report = json.loads(out)
         assert report["violations"] == 0
         assert report["trials"] == 50
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--trials", "0"],
+        ["fuzz", "--trials", "5", "--dims", "0,2"],
+    ], ids=["zero-trials", "zero-dim"])
+    def test_bad_params(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_deterministic(self, capsys):
         main(["--seed", "5", "fuzz", "--trials", "30", "--dims", "2,2"])
