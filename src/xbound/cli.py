@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import StateValidationError
+from .errors import InvariantViolation, StateValidationError
 from .highdim import generalized_lower_bound
 from .io import (
     hash_file,
@@ -68,6 +68,7 @@ def cmd_isotropic_sweep(args) -> int:
         raise StateValidationError(f"--d must be >= 2, got {args.d}")
     if args.steps < 2:
         raise StateValidationError(f"--steps must be >= 2, got {args.steps}")
+    tol = _tolerances(args)
     rows = ["F,exact,bound,bound_from_matrix"]
     for n in range(args.steps):
         f = n / (args.steps - 1)
@@ -85,7 +86,7 @@ def cmd_isotropic_sweep(args) -> int:
         command=f"isotropic-sweep --d {args.d} --steps {args.steps}",
         input_hash=hash_text(csv_text),
         seed=args.seed,
-        tol=_tolerances(args),
+        tol=tol,
     )
     write_manifest(manifest, args.out)
     print(f"wrote {args.out} ({args.steps} rows)")
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     except StateValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ For two qubits this is the ordering {|00>, |01>, |10>, |11>}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .errors import (
     NotHermitian,
     NotPositive,
     NotUnitary,
+    OutOfRange,
     TraceNotOne,
     WrongDimensions,
 )
@@ -28,6 +30,13 @@ class Tolerances:
     psd: float = 1e-8
     norm: float = 1e-10
     unitary: float = 1e-8
+
+    def __post_init__(self) -> None:
+        # A NaN tolerance would make every residual comparison pass.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise OutOfRange(f"tolerance {f.name} must be finite and > 0, got {v}")
 
     @classmethod
     def uniform(cls, tol: float) -> "Tolerances":
@@ -120,12 +129,6 @@ def partial_trace_B(q: DensityMatrix) -> np.ndarray:
     """Reduced density matrix Tr_B of subsystem A (dimA x dimA)."""
     t = q.mat.reshape(q.dimA, q.dimB, q.dimA, q.dimB)
     return np.trace(t, axis1=1, axis2=3)
-
-
-def partial_trace_B_vec(amps: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
-    """Reduced A-side density matrix of a pure state, without forming the projector."""
-    m = amps.reshape(dimA, dimB)
-    return m @ m.conj().T
 
 
 def sample_random_density(dimA: int, dimB: int, rank: int, seed) -> DensityMatrix:

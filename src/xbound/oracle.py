@@ -11,26 +11,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .highdim import generalized_lower_bound
-from .linalg import DensityMatrix, PureState, sample_random_density
-from .two_qubit import (
-    BoundReport,
-    wootters_concurrence,
-    x_concurrence,
-    x_decompose,
-)
 from .errors import InvariantViolation
+from .highdim import _column_concurrence, generalized_lower_bound
+from .linalg import DensityMatrix, PureState, sample_random_density
+from .two_qubit import _margin, wootters_concurrence, x_concurrence, x_decompose
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
 # search past the kinks where a column turns product (see
-# _column_concurrence), and the last stage minimizes the average itself.
+# highdim._column_concurrence), and the last stage minimizes the average itself.
 _SMOOTHING = (1e-3, 1e-6, 0.0)
 
 
@@ -62,33 +57,6 @@ class RoofResult:
     value: float
     witness: DecompositionCandidate
     improved: bool  # False: no restart beat the plain eigendecomposition average
-
-
-def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int,
-                        smoothing: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrence of every column of cols (D x m) and its gradient.
-
-    Degree-2 homogeneous in the weight: a column sqrt(p) psi gives p C(psi).
-    Each value is sqrt(S + smoothing^2) with S the squared concurrence, so
-    smoothing = 0 gives the concurrence itself and smoothing > 0 rounds off
-    its kink at product columns.  The gradient is d/dRe + i d/dIm of each
-    value, and 0 where the value is 0.
-    """
-    if dimA == 2 and dimB == 2:
-        g = cols[0] * cols[3] - cols[1] * cols[2]
-        sq = 4.0 * (g.real**2 + g.imag**2)
-        num = 4.0 * g * np.stack([cols[3], -cols[2], -cols[1], cols[0]]).conj()
-    else:
-        m = cols.shape[1]
-        mats = cols.reshape(dimA, dimB, m)
-        gram = np.einsum("abm,cbm->acm", mats, mats.conj())
-        tr = np.einsum("aam->m", gram).real
-        tr2 = np.einsum("acm,cam->m", gram, gram).real
-        sq = np.clip(2.0 * (tr * tr - tr2), 0.0, None)
-        num = 4.0 * (tr * mats - np.einsum("acm,cbm->abm", gram, mats))
-        num = num.reshape(dimA * dimB, m)
-    conc = np.sqrt(sq + smoothing * smoothing)
-    return conc, num * np.divide(1.0, conc, out=np.zeros_like(conc), where=conc > 0.0)
 
 
 def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
@@ -255,21 +223,15 @@ def fuzz_inequality(
         rank = rank_cycle[t % len(rank_cycle)]
         q = sample_random_density(dimA, dimB, rank, np.random.SeedSequence([seed, t]))
         if exact_ref:
-            rep = x_lower_bound_unchecked(q)
-            reference = rep.exact
+            rep = x_concurrence(x_decompose(q)[0])
+            reference = wootters_concurrence(q)
             bound = rep.bound
             if rank == 1 and abs(rep.c1) > reference + 1e-10:
                 violations += 1
         else:
             bound = generalized_lower_bound(q).bound
             reference = convex_roof_upper(
-                q, OptimizerConfig(
-                    restarts=oracle_cfg.restarts,
-                    max_iters=oracle_cfg.max_iters,
-                    tol=oracle_cfg.tol,
-                    seed=oracle_cfg.seed + t,
-                    decomp_size=oracle_cfg.decomp_size,
-                )
+                q, replace(oracle_cfg, seed=oracle_cfg.seed + t)
             ).value
         slack = float(reference - bound)
         min_slack = min(min_slack, slack)
@@ -285,15 +247,6 @@ def fuzz_inequality(
         max_gap=max_gap,
         min_slack=min_slack,
         oracle_tolerance=cmp_tol,
-    )
-
-
-def x_lower_bound_unchecked(q: DensityMatrix):
-    """x_lower_bound without the bound<=exact guard; the fuzzer counts instead."""
-    x, _ = x_decompose(q)
-    rep = x_concurrence(x)
-    return BoundReport(
-        c1=rep.c1, c2=rep.c2, bound=rep.bound, exact=wootters_concurrence(q)
     )
 
 
@@ -330,8 +283,8 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
         uB = _su2(*angles[3:])
         u = np.kron(uA, uB)
         qc = u @ q.mat @ u.conj().T
-        c1 = 2.0 * (abs(qc[0, 3]) - math.sqrt(max(qc[1, 1].real * qc[2, 2].real, 0.0)))
-        c2 = 2.0 * (abs(qc[1, 2]) - math.sqrt(max(qc[0, 0].real * qc[3, 3].real, 0.0)))
+        c1 = _margin(qc[0, 3], qc[1, 1].real, qc[2, 2].real)
+        c2 = _margin(qc[1, 2], qc[0, 0].real, qc[3, 3].real)
         return max(0.0, c1, c2)
 
     def objective(angles: np.ndarray) -> float:

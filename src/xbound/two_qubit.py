@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, WrongDimensions
+from .highdim import _column_concurrence
 from .linalg import DensityMatrix, PureState, clipped_sqrt
 
 _SY2 = np.array(
@@ -98,22 +99,26 @@ def _warn_if_x_inconsistent(x: XCore, slack: float = 1e-8) -> None:
         warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
 
 
+def _margin(coh: complex, d1: float, d2: float) -> float:
+    """Signed margin 2(|coh| - sqrt(d1 d2)), the scalar twin of highdim._pair_terms."""
+    return 2.0 * (abs(coh) - math.sqrt(max(d1 * d2, 0.0)))
+
+
 def x_concurrence(x: XCore) -> BoundReport:
     """Concurrence of an X matrix: 2*max{0, |q14|-sqrt(d22 d33), |q23|-sqrt(d11 d44)}.
 
     c1 and c2 are reported signed; only `bound` clips at zero.
     """
-    c1 = 2.0 * (abs(x.q14) - math.sqrt(max(x.d22, 0.0) * max(x.d33, 0.0)))
-    c2 = 2.0 * (abs(x.q23) - math.sqrt(max(x.d11, 0.0) * max(x.d44, 0.0)))
+    c1 = _margin(x.q14, x.d22, x.d33)
+    c2 = _margin(x.q23, x.d11, x.d44)
     return BoundReport(c1=c1, c2=c2, bound=max(0.0, c1, c2))
 
 
 def pure_concurrence_2q(psi: PureState) -> float:
-    """Concurrence 2|ad - bc| of a normalized two-qubit pure state."""
+    """Concurrence 2|ad - bc| of a normalized two-qubit pure state (highdim's kernel)."""
     if (psi.dimA, psi.dimB) != (2, 2):
         raise WrongDimensions(f"expected dims (2,2), got ({psi.dimA},{psi.dimB})")
-    a, b, c, d = psi.amps
-    return 2.0 * abs(a * d - b * c)
+    return float(_column_concurrence(psi.amps[:, None], 2, 2)[0][0])
 
 
 def wootters_concurrence(q: DensityMatrix) -> float:
@@ -156,5 +161,5 @@ def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport
     for name, v in (("d22", d22), ("d33", d33)):
         if not 0.0 <= v <= 1.0:
             raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
-    c1 = 2.0 * (q14_abs - math.sqrt(d22 * d33))
+    c1 = _margin(q14_abs, d22, d33)
     return BoundReport(c1=c1, c2=None, bound=max(0.0, c1))

@@ -31,7 +31,7 @@ from xbound import (
     x_lower_bound,
 )
 from xbound.cli import main
-from xbound.highdim import _iconc_from_minors, _iconc_from_purity
+from xbound.highdim import _column_concurrence, _iconc_from_minors
 from xbound.reference_states import bell_phi_plus, chi_state
 
 
@@ -111,7 +111,7 @@ def test_criterion_6_highdim_pure_inequality():
         conc = i_concurrence_pure(psi)
         worst_formula_gap = max(
             worst_formula_gap,
-            abs(_iconc_from_purity(psi.amps, dA, dB)
+            abs(_column_concurrence(psi.amps[:, None], dA, dB)[0][0]
                 - _iconc_from_minors(psi.amps, dA, dB)),
         )
         if generalized_lower_bound(projector(psi)).bound > conc + 1e-10:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from xbound import (
+    InvariantViolation,
     IsotropicState,
     conjugate_by_local_unitary,
     isotropic_matrix,
@@ -96,6 +97,19 @@ class TestBound:
             out = capsys.readouterr().out
             assert code == 1
             assert "verdict=inconclusive" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol(self, tmp_path, capsys, tol):
+        # With a NaN or infinite tolerance this trace-12 matrix used to pass
+        # validation.
+        path = tmp_path / "threes.json"
+        path.write_text(json.dumps({
+            "dimA": 2, "dimB": 2, "re": [[3.0] * 4] * 4, "im": [[0.0] * 4] * 4,
+        }))
+        code = main(["--tol", tol, "bound", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: OutOfRange:")
 
     @pytest.mark.parametrize("payload", [
         {"dimA": 2, "dimB": 2, "re": [["x", 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
@@ -225,6 +239,15 @@ class TestOptimizeBasis:
         path = tmp_path / "big.json"
         save_density(maximally_mixed(3, 3), path)
         assert main(["optimize-basis", str(path)]) == 2
+
+    def test_invariant_violation_exits_3(self, bell_file, tmp_path, capsys, monkeypatch):
+        def broken(q, cfg):
+            raise InvariantViolation("optimized bound exceeds exact concurrence")
+        monkeypatch.setattr("xbound.cli.optimize_basis", broken)
+        code = main(["optimize-basis", bell_file, "--out", str(tmp_path / "u.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: InvariantViolation:")
 
 
 class TestRoundTrip:

@@ -15,9 +15,10 @@ from xbound import (
     sample_haar_pure,
     sample_haar_unitary,
     sample_random_density,
+    validate_density,
     x_lower_bound,
 )
-from xbound.highdim import _iconc_from_minors, _iconc_from_purity
+from xbound.highdim import _column_concurrence, _iconc_from_minors
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
@@ -25,6 +26,22 @@ from xbound.reference_states import (
     maximally_entangled,
     maximally_mixed,
 )
+
+
+def _reference_margins(q):
+    """Every signed pair margin keyed by (i, j, k, l, mirrored), from flat indices."""
+    m, dB = q.mat, q.dimB
+    out = {}
+    for i in range(q.dimA):
+        for j in range(i + 1, q.dimA):
+            for k in range(dB):
+                for l in range(k + 1, dB):
+                    ik, il, jk, jl = i * dB + k, i * dB + l, j * dB + k, j * dB + l
+                    plain = m[il, il].real * m[jk, jk].real
+                    mirror = m[ik, ik].real * m[jl, jl].real
+                    out[(i, j, k, l, False)] = 2.0 * (abs(m[ik, jl]) - math.sqrt(max(plain, 0.0)))
+                    out[(i, j, k, l, True)] = 2.0 * (abs(m[il, jk]) - math.sqrt(max(mirror, 0.0)))
+    return out
 
 
 class TestIConcurrencePure:
@@ -45,7 +62,7 @@ class TestIConcurrencePure:
             dA = 2 + seed % 4
             dB = 2 + (seed // 4) % 4
             psi = sample_haar_pure(dA, dB, seed)
-            a = _iconc_from_purity(psi.amps, dA, dB)
+            a = _column_concurrence(psi.amps[:, None], dA, dB)[0][0]
             b = _iconc_from_minors(psi.amps, dA, dB)
             assert abs(a - b) < 1e-10
 
@@ -129,3 +146,27 @@ class TestGeneralizedLowerBound:
         rep = generalized_lower_bound(maximally_mixed(3, 3))
         p = rep.argmax_pair
         assert (p.i, p.j, p.k, p.l, rep.mirrored) == (0, 1, 0, 1, False)
+
+    def test_argmax_tie_across_orientations(self):
+        # (0,1,0,1, mirrored) and (0,1,0,2, plain) share the maximum -2/15;
+        # the lexicographic tie-break picks the first.
+        m = np.eye(6, dtype=complex) / 6.0
+        m[0, 5] = m[5, 0] = m[1, 3] = m[3, 1] = 0.1
+        rep = generalized_lower_bound(validate_density(m, 2, 3))
+        p = rep.argmax_pair
+        assert rep.value == pytest.approx(2.0 * (0.1 - 1.0 / 6.0), abs=1e-15)
+        assert (p.i, p.j, p.k, p.l, rep.mirrored) == (0, 1, 0, 1, True)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 4), (3, 5), (5, 5)])
+    def test_matches_flat_index_reference(self, dims):
+        dA, dB = dims
+        for n in range(50):
+            rank = 1 + n % (dA * dB)
+            q = sample_random_density(dA, dB, rank, np.random.SeedSequence([dA, dB, n]))
+            ref = _reference_margins(q)
+            best = max(ref.values())
+            rep = generalized_lower_bound(q)
+            p = rep.argmax_pair
+            assert abs(rep.value - best) <= 1e-15
+            assert abs(ref[(p.i, p.j, p.k, p.l, rep.mirrored)] - best) <= 1e-12
+            assert abs(rep.bound - max(best, 0.0)) <= 1e-15
