@@ -50,20 +50,21 @@ class GeneralBoundReport:
     value: float
 
 
-def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int,
-                        smoothing: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrence of every column of cols (D x m) and its gradient.
+def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int, smoothing: float = 0.0,
+                        grad: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Concurrence of every column of cols (D x m), and with grad=True its gradient.
 
     Degree-2 homogeneous in the weight: a column sqrt(p) psi gives p C(psi).
     Each value is sqrt(S + smoothing^2) with S the squared concurrence, so
     smoothing = 0 gives the concurrence itself and smoothing > 0 rounds off
-    its kink at product columns.  The gradient is d/dRe + i d/dIm of each
-    value, and 0 where the value is 0.
+    its kink at product columns.  With grad=True the result is (values,
+    gradient), the gradient being d/dRe + i d/dIm of each value, and 0 where
+    the value is 0.
     """
-    if dimA == 2 and dimB == 2:
+    two_qubit = dimA == 2 and dimB == 2
+    if two_qubit:
         g = cols[0] * cols[3] - cols[1] * cols[2]
         sq = 4.0 * (g.real**2 + g.imag**2)
-        num = 4.0 * g * np.stack([cols[3], -cols[2], -cols[1], cols[0]]).conj()
     else:
         m = cols.shape[1]
         mats = cols.reshape(dimA, dimB, m)
@@ -71,9 +72,14 @@ def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int,
         tr = np.einsum("aam->m", gram).real
         tr2 = np.einsum("acm,cam->m", gram, gram).real
         sq = np.clip(2.0 * (tr * tr - tr2), 0.0, None)
+    conc = np.sqrt(sq + smoothing * smoothing)
+    if not grad:
+        return conc
+    if two_qubit:
+        num = 4.0 * g * np.stack([cols[3], -cols[2], -cols[1], cols[0]]).conj()
+    else:
         num = 4.0 * (tr * mats - np.einsum("acm,cbm->abm", gram, mats))
         num = num.reshape(dimA * dimB, m)
-    conc = np.sqrt(sq + smoothing * smoothing)
     return conc, num * np.divide(1.0, conc, out=np.zeros_like(conc), where=conc > 0.0)
 
 
@@ -84,7 +90,7 @@ def i_concurrence_pure(psi: PureState) -> float:
     the independent minor form; they must agree to 1e-10 or an
     InvariantViolation is raised.
     """
-    value = float(_column_concurrence(psi.amps[:, None], psi.dimA, psi.dimB)[0][0])
+    value = float(_column_concurrence(psi.amps[:, None], psi.dimA, psi.dimB)[0])
     minor_form = _iconc_from_minors(psi.amps, psi.dimA, psi.dimB)
     if abs(value - minor_form) > 1e-10:
         raise InvariantViolation(

@@ -4,14 +4,16 @@ convex_roof_upper minimizes the ensemble-average pure-state concurrence over
 pure decompositions by L-BFGS with an analytic gradient; the result is an
 upper bound on the true concurrence.
 fuzz_inequality hammers the lower bound against that reference (or against the
-exact two-qubit value).  optimize_basis searches local unitaries for the basis
-that maximizes the X bound.
+exact two-qubit value).  optimize_basis searches local unitaries exp(iH) for
+the basis that maximizes the X bound, by L-BFGS on the analytic gradient of
+each X witness's margin.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -59,20 +61,32 @@ class RoofResult:
     improved: bool  # False: no restart beat the plain eigendecomposition average
 
 
+def _isometry(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR factorization z = QR with R's (real) diagonal made non-negative.
+
+    numpy's Householder QR flips the sign of a column of Q between z = I and
+    any z perturbed below the diagonal; fixing the sign makes Q smooth in z,
+    so the objective has no kink at the identity start.
+    """
+    iso, tri = np.linalg.qr(z)
+    sign = np.where(np.diag(tri).real < 0.0, -1.0, 1.0)
+    return iso * sign, tri * sign[:, None]
+
+
 def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
                       dimA: int, dimB: int, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
     """Ensemble-average concurrence of the decomposition params encodes, and its gradient.
 
     params holds the real and imaginary parts of an m x r matrix z; the
-    isometry is Q from z = QR, and the decomposition's subnormalized states
-    are the columns of w Q^T.  The gradient is back-propagated through the
-    QR factorization, whose R has a real diagonal.  smoothing is passed to
-    _column_concurrence.
+    isometry is Q from z = QR (_isometry), and the decomposition's
+    subnormalized states are the columns of w Q^T.  The gradient is
+    back-propagated through the QR factorization, whose R has a real
+    diagonal.  smoothing is passed to _column_concurrence.
     """
     z = (params[: m * r] + 1j * params[m * r :]).reshape(m, r)
-    iso, tri = np.linalg.qr(z)  # m x r, iso^dag iso = I
+    iso, tri = _isometry(z)  # m x r, iso^dag iso = I
     cols = w @ iso.T  # D x m; sum_j col col^dag reproduces the state
-    conc, gcols = _column_concurrence(cols, dimA, dimB, smoothing)
+    conc, gcols = _column_concurrence(cols, dimA, dimB, smoothing, grad=True)
     g_iso = (w.conj().T @ gcols).T
     b = iso.conj().T @ g_iso
     k = np.tril(b - b.conj().T, -1) + 1j * np.diag(np.diag(b).imag)
@@ -102,7 +116,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
         cand = DecompositionCandidate(
             weights=np.array([1.0]), states=[PureState(dimA, dimB, psi)]
         )
-        value = float(_column_concurrence(psi[:, None], dimA, dimB)[0][0])
+        value = float(_column_concurrence(psi[:, None], dimA, dimB)[0])
         return RoofResult(value=value, witness=cand, improved=True)
 
     # For two qubits an optimal decomposition of size 4 always exists, and
@@ -150,8 +164,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
 
     improved = best_val < baseline - 1e-12
     z = (best_x[: m * r] + 1j * best_x[m * r :]).reshape(m, r)
-    iso, _ = np.linalg.qr(z)
-    cols = w @ iso.T
+    cols = w @ _isometry(z)[0].T
     weights, states = [], []
     for j in range(m):
         p = float(np.linalg.norm(cols[:, j]) ** 2)
@@ -250,16 +263,6 @@ def fuzz_inequality(
     )
 
 
-def _su2(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class BasisResult:
     best_bound: float
@@ -269,56 +272,119 @@ class BasisResult:
     exact: float
 
 
+def _expi(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u = exp(iH), with H's eigenvalues and eigenvectors, for H = ((1+i) M + (1-i) M^T) / 2.
+
+    M is the real n x n matrix p holds, so H_jk = (M_jk + M_kj)/2 +
+    i (M_jk - M_kj)/2: a linear bijection from n^2 real parameters onto the
+    Hermitian matrices.
+    """
+    m = p.reshape(n, n)
+    lam, v = np.linalg.eigh(0.5 * ((1.0 + 1.0j) * m + (1.0 - 1.0j) * m.T))
+    return (v * np.exp(1j * lam)) @ v.conj().T, lam, v
+
+
+def _expi_grad(gu: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Back-propagate a gradient gu of u = exp(iH) to the parameters of H.
+
+    By the Daleckii-Krein formula du = V (L o (V^dag dH V)) V^dag, where L
+    holds the divided differences (e^{i a} - e^{i b}) / (a - b) of exp(i x)
+    at H's eigenvalues, i e^{i a} where a = b; written with sinc they need no
+    case for equal eigenvalues.  Gradients are d/dRe + i d/dIm, as in
+    highdim._column_concurrence.
+    """
+    dd = 1j * np.exp(0.5j * (lam[:, None] + lam)) * np.sinc((lam[:, None] - lam) / (2 * np.pi))
+    gh = v @ (dd.conj() * (v.conj().T @ gu @ v)) @ v.conj().T
+    return (0.5 * ((1.0 - 1.0j) * gh + (1.0 + 1.0j) * gh.T)).real.ravel()
+
+
+# The two X-part witnesses of a two-qubit state as flat indices (a, b, c, d):
+# the coherence at [a, b] against the diagonals [c, c] and [d, d], i.e. the
+# margins c1 and c2 of x_concurrence.
+_X_WITNESSES = ((0, 3, 1, 2), (1, 2, 0, 3))
+# L-BFGS ftol and gtol of the basis search, below the 1e-10 of its early stop.
+_BASIS_TOL = 1e-12
+
+
+def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
+                  witness: tuple[int, int, int, int]) -> tuple[float, np.ndarray]:
+    """Negated margin 2(|coh| - sqrt(d1 d2)) of witness in a local basis, and its gradient.
+
+    params holds the generators of uA = exp(iH_A) and uB = exp(iH_B) (dimA^2
+    and dimB^2 real numbers, see _expi), and the margin is read from
+    rho' = U rho U^dag with U = uA (x) uB.  Where |coh| or d1 d2 is 0 that
+    term contributes gradient 0, as _column_concurrence does where its value
+    is 0.
+    """
+    a, b, c, d = witness
+    uA, lamA, vA = _expi(params[: dimA * dimA], dimA)
+    uB, lamB, vB = _expi(params[dimA * dimA :], dimB)
+    u = np.kron(uA, uB)
+    r = u @ rho @ u.conj().T
+    coh = abs(r[a, b])
+    d1, d2 = r[c, c].real, r[d, d].real
+    root = math.sqrt(max(d1 * d2, 0.0))
+    g = np.zeros_like(r)  # gradient of the margin in the entries of rho'
+    if coh > 0.0:
+        g[a, b] = 2.0 * r[a, b] / coh
+    if root > 0.0:
+        g[c, c], g[d, d] = -d2 / root, -d1 / root
+    # Through rho' = U rho U^dag the gradient in U is (g + g^dag) U rho; its
+    # factors for uA and uB contract it with the other unitary.
+    gu = ((g + g.conj().T) @ u @ rho).reshape(dimA, dimB, dimA, dimB)
+    gA = np.einsum("abcd,bd->ac", gu, uB.conj())
+    gB = np.einsum("abcd,ac->bd", gu, uA.conj())
+    grad = np.concatenate([_expi_grad(gA, lamA, vA), _expi_grad(gB, lamB, vB)])
+    return -2.0 * (coh - root), -grad
+
+
 def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> BasisResult:
     """Search local unitaries uA, uB maximizing the X bound of the rotated state.
 
-    Six angles parameterize SU(2) x SU(2) (global phases cancel in the
-    conjugation).  The identity start guarantees the result never falls below
-    the bound in the original basis.
+    uA = exp(iH_A) and uB = exp(iH_B) with Hermitian generators.  Each X
+    witness's margin is maximized on its own by L-BFGS with its analytic
+    gradient (_basis_margin), from the identity and then from seeded random
+    generators; the result is the best X bound over all of them.  The search
+    stops once the bound reaches the exact concurrence, which no basis
+    exceeds.  The identity start guarantees the result never falls below the
+    bound in the original basis.
     """
     exact = wootters_concurrence(q)
+    dimA, dimB = q.dimA, q.dimB
 
-    def rotated_bound(angles: np.ndarray) -> float:
-        uA = _su2(*angles[:3])
-        uB = _su2(*angles[3:])
+    def rotated_bound(uA: np.ndarray, uB: np.ndarray) -> float:
         u = np.kron(uA, uB)
         qc = u @ q.mat @ u.conj().T
-        c1 = _margin(qc[0, 3], qc[1, 1].real, qc[2, 2].real)
-        c2 = _margin(qc[1, 2], qc[0, 0].real, qc[3, 3].real)
-        return max(0.0, c1, c2)
+        return max(0.0, *(_margin(qc[a, b], qc[c, c].real, qc[d, d].real)
+                          for a, b, c, d in _X_WITNESSES))
 
-    def objective(angles: np.ndarray) -> float:
-        return -rotated_bound(angles)
-
+    best_uA, best_uB = np.eye(dimA, dtype=complex), np.eye(dimB, dtype=complex)
+    orig = best_bound = rotated_bound(best_uA, best_uB)
     rng = np.random.default_rng(cfg.seed)
-    best_angles = np.zeros(6)
-    best_val = objective(best_angles)
-    for k in range(cfg.restarts):
-        x0 = np.zeros(6) if k == 0 else rng.uniform(0, 2 * math.pi, 6)
+    n_par = dimA * dimA + dimB * dimB
+    starts = [np.zeros(n_par) if k == 0 else rng.standard_normal(n_par)
+              for k in range(cfg.restarts)]
+    for x0, witness in product(starts, _X_WITNESSES):
+        if best_bound >= exact - 1e-10:
+            break
         res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iters,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "adaptive": True,
-            },
+            _basis_margin, x0, args=(q.mat, dimA, dimB, witness), jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": cfg.max_iters, "ftol": _BASIS_TOL, "gtol": _BASIS_TOL},
         )
-        if res.fun < best_val:
-            best_val, best_angles = res.fun, res.x
+        uA, uB = _expi(res.x[: dimA * dimA], dimA)[0], _expi(res.x[dimA * dimA :], dimB)[0]
+        value = rotated_bound(uA, uB)
+        if value > best_bound:
+            best_bound, best_uA, best_uB = value, uA, uB
 
-    best_bound = -best_val
     if best_bound > exact + 1e-10:
         raise InvariantViolation(
             f"optimized bound {best_bound:.12g} exceeds exact concurrence {exact:.12g}"
         )
-    orig = x_concurrence(x_decompose(q)[0]).bound
     return BasisResult(
         best_bound=best_bound,
-        uA=_su2(*best_angles[:3]),
-        uB=_su2(*best_angles[3:]),
+        uA=best_uA,
+        uB=best_uB,
         original_bound=orig,
         exact=exact,
     )

@@ -118,7 +118,7 @@ def pure_concurrence_2q(psi: PureState) -> float:
     """Concurrence 2|ad - bc| of a normalized two-qubit pure state (highdim's kernel)."""
     if (psi.dimA, psi.dimB) != (2, 2):
         raise WrongDimensions(f"expected dims (2,2), got ({psi.dimA},{psi.dimB})")
-    return float(_column_concurrence(psi.amps[:, None], 2, 2)[0][0])
+    return float(_column_concurrence(psi.amps[:, None], 2, 2)[0])
 
 
 def wootters_concurrence(q: DensityMatrix) -> float:

@@ -111,7 +111,7 @@ def test_criterion_6_highdim_pure_inequality():
         conc = i_concurrence_pure(psi)
         worst_formula_gap = max(
             worst_formula_gap,
-            abs(_column_concurrence(psi.amps[:, None], dA, dB)[0][0]
+            abs(_column_concurrence(psi.amps[:, None], dA, dB)[0]
                 - _iconc_from_minors(psi.amps, dA, dB)),
         )
         if generalized_lower_bound(projector(psi)).bound > conc + 1e-10:

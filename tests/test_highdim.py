@@ -62,7 +62,7 @@ class TestIConcurrencePure:
             dA = 2 + seed % 4
             dB = 2 + (seed // 4) % 4
             psi = sample_haar_pure(dA, dB, seed)
-            a = _column_concurrence(psi.amps[:, None], dA, dB)[0][0]
+            a = _column_concurrence(psi.amps[:, None], dA, dB)[0]
             b = _iconc_from_minors(psi.amps, dA, dB)
             assert abs(a - b) < 1e-10
 

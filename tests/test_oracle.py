@@ -17,10 +17,29 @@ from xbound import (
     wootters_concurrence,
     x_lower_bound,
 )
-from xbound.oracle import _ensemble_average
-from xbound.reference_states import bell_phi_plus, maximally_mixed, werner_state
+from xbound.oracle import _X_WITNESSES, _basis_margin, _ensemble_average
+from xbound.reference_states import (
+    IsotropicState,
+    bell_phi_plus,
+    isotropic_exact_concurrence,
+    isotropic_matrix,
+    maximally_mixed,
+    werner_state,
+)
 
 FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
+ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8)]
+
+
+def central_difference(f, x, h=1e-6):
+    """Central-difference gradient of the scalar function f at x."""
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(x.size)])
+
+
+def eigen_weights(q, rank):
+    """Scaled eigenvectors of the rank largest eigenvalues, as convex_roof_upper builds them."""
+    evals, vecs = np.linalg.eigh(q.mat)
+    return vecs[:, -rank:] * np.sqrt(evals[-rank:])
 
 
 def random_product_mixture(seed, terms=4):
@@ -70,17 +89,17 @@ class TestConvexRoof:
             res = convex_roof_upper(q, FAST_CFG)
             assert res.value >= generalized_lower_bound(q).bound - 1e-9
 
-    @pytest.mark.parametrize("dims,rank,m", [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8)])
+    @pytest.mark.parametrize("dims,rank,m", ROOF_GRADIENT_CASES)
     def test_ensemble_average_gradient(self, dims, rank, m):
         dA, dB = dims
         q = sample_random_density(dA, dB, rank, 31)
-        evals, vecs = np.linalg.eigh(q.mat)
-        w = vecs[:, -rank:] * np.sqrt(evals[-rank:])
+        w = eigen_weights(q, rank)
         x = np.random.default_rng(32).standard_normal(2 * m * rank)
         value, grad = _ensemble_average(x, w, m, rank, dA, dB)
 
         z = (x[: m * rank] + 1j * x[m * rank :]).reshape(m, rank)
-        cols = w @ np.linalg.qr(z)[0].T
+        iso, tri = np.linalg.qr(z)
+        cols = w @ (iso * np.sign(np.diag(tri).real)).T  # the QR with R's diagonal positive
         expected = 0.0
         for col in cols.T:
             p = np.vdot(col, col).real
@@ -88,14 +107,26 @@ class TestConvexRoof:
             expected += p * np.sqrt(max(0.0, 2.0 * (1.0 - np.sum(schmidt**4))))
         assert value == pytest.approx(expected, abs=1e-12)
 
-        h = 1e-6
-        numeric = np.empty_like(x)
-        for n in range(x.size):
-            e = np.zeros_like(x)
-            e[n] = h
-            numeric[n] = (_ensemble_average(x + e, w, m, rank, dA, dB)[0]
-                          - _ensemble_average(x - e, w, m, rank, dA, dB)[0]) / (2 * h)
+        numeric = central_difference(lambda y: _ensemble_average(y, w, m, rank, dA, dB)[0], x)
         assert np.abs(grad - numeric).max() <= 1e-7
+
+    @pytest.mark.parametrize("dims,rank,m", ROOF_GRADIENT_CASES)
+    def test_ensemble_average_gradient_at_identity(self, dims, rank, m):
+        # The identity isometry is every search's first start; QR's column
+        # signs must not jump there.
+        dA, dB = dims
+        w = eigen_weights(sample_random_density(dA, dB, rank, 31), rank)
+        x_eye = np.concatenate([np.eye(m, rank).ravel(), np.zeros(m * rank)])
+        grad = _ensemble_average(x_eye, w, m, rank, dA, dB)[1]
+        numeric = central_difference(lambda y: _ensemble_average(y, w, m, rank, dA, dB)[0], x_eye)
+        assert np.abs(grad - numeric).max() <= 1e-7
+
+    @pytest.mark.parametrize("d,F,m", [(3, 0.5, 20), (3, 0.9, 20), (4, 0.8, 32)])
+    def test_calibrated_on_isotropic_states(self, d, F, m):
+        s = IsotropicState(d=d, F=F)
+        exact = isotropic_exact_concurrence(s)
+        res = convex_roof_upper(isotropic_matrix(s), OptimizerConfig(restarts=3, decomp_size=m))
+        assert exact - 1e-9 <= res.value <= exact + 5e-5
 
     def test_calibrated_above_two_qubits(self):
         # A two-qubit state in the {0,1} x {0,1} block of d x d keeps every
@@ -157,6 +188,25 @@ class TestOptimizeBasis:
         res = optimize_basis(maximally_mixed(2, 2), OptimizerConfig(restarts=3, seed=0))
         assert res.best_bound == 0.0
         assert res.original_bound == 0.0
+
+    @pytest.mark.parametrize("witness", _X_WITNESSES)
+    def test_basis_margin_gradient(self, witness):
+        for seed in range(4):
+            q = sample_random_density(2, 2, seed + 1, 40 + seed)
+            starts = [np.zeros(8), np.random.default_rng(seed).standard_normal(8)]
+            for x in starts:
+                grad = _basis_margin(x, q.mat, 2, 2, witness)[1]
+                numeric = central_difference(
+                    lambda y: _basis_margin(y, q.mat, 2, 2, witness)[0], x)
+                assert np.abs(grad - numeric).max() <= 1e-7
+
+    def test_pure_states_reach_concurrence(self):
+        # A pure state's Schmidt form is an X state, so some local basis makes
+        # the X bound equal the concurrence.
+        for seed in range(20):
+            q = sample_random_density(2, 2, 1, seed)
+            res = optimize_basis(q, OptimizerConfig(restarts=3, seed=seed))
+            assert res.best_bound == pytest.approx(res.exact, abs=1e-9)
 
     def test_result_unitaries_reproduce_bound(self):
         q = sample_random_density(2, 2, 2, 17)
