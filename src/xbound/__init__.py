@@ -4,10 +4,12 @@ from .errors import (
     IndexOutOfRange,
     InvalidRank,
     InvariantViolation,
+    NonFinite,
     NotHermitian,
     NotPositive,
     NotUnitary,
     OutOfRange,
+    StateNormError,
     StateValidationError,
     TraceNotOne,
     WrongDimensions,

@@ -9,6 +9,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import InvariantViolation, StateValidationError
@@ -107,6 +108,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_optimize_basis(args) -> int:
+    if args.restarts < 1:
+        raise StateValidationError(f"--restarts must be >= 1, got {args.restarts}")
     q = load_density(args.input, _tolerances(args))
     if (q.dimA, q.dimB) != (2, 2):
         raise StateValidationError(
@@ -181,9 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace from the
+    # defaults on every call, so nothing carries over between calls.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except StateValidationError as exc:

@@ -5,12 +5,20 @@ class StateValidationError(ValueError):
     """Base class for all input-validation failures."""
 
 
+class NonFinite(StateValidationError):
+    """The matrix has a NaN or infinite entry."""
+
+
 class NotHermitian(StateValidationError):
     pass
 
 
 class TraceNotOne(StateValidationError):
     pass
+
+
+class StateNormError(TraceNotOne):
+    """Pure-state amplitudes are not normalized."""
 
 
 class NotPositive(StateValidationError):

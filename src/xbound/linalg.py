@@ -13,10 +13,12 @@ import numpy as np
 
 from .errors import (
     InvalidRank,
+    NonFinite,
     NotHermitian,
     NotPositive,
     NotUnitary,
     OutOfRange,
+    StateNormError,
     TraceNotOne,
     WrongDimensions,
 )
@@ -77,8 +79,9 @@ def validate_density(
 ) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; return a DensityMatrix.
 
-    Raises NotHermitian / TraceNotOne / NotPositive naming the violated
-    invariant together with the measured residual.
+    Raises NonFinite for a NaN or infinite entry, and NotHermitian /
+    TraceNotOne / NotPositive naming the violated invariant together with the
+    measured residual.
     """
     m = np.asarray(m, dtype=complex)
     d = dimA * dimB
@@ -87,7 +90,7 @@ def validate_density(
             f"expected a {d}x{d} matrix for dims ({dimA},{dimB}), got {m.shape}"
         )
     if not np.all(np.isfinite(m)):
-        raise NotHermitian("matrix contains non-finite entries")
+        raise NonFinite("matrix contains non-finite entries")
     herm_resid = np.abs(m - m.conj().T).max()
     if herm_resid > tol.herm:
         raise NotHermitian(f"Hermiticity residual {herm_resid:.3e} > {tol.herm:.1e}")
@@ -113,10 +116,6 @@ def pure_state(amps: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT
     if abs(nrm - 1.0) > tol.norm:
         raise StateNormError(f"norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     return PureState(dimA=dimA, dimB=dimB, amps=amps)
-
-
-class StateNormError(TraceNotOne):
-    """Pure-state amplitudes are not normalized."""
 
 
 def projector(psi: PureState) -> DensityMatrix:

@@ -22,13 +22,20 @@ from scipy.optimize import minimize
 from .errors import InvariantViolation
 from .highdim import _column_concurrence, generalized_lower_bound
 from .linalg import DensityMatrix, PureState, sample_random_density
-from .two_qubit import _margin, wootters_concurrence, x_concurrence, x_decompose
+from .two_qubit import _margin, _warn_if_x_inconsistent, _wootters, wootters_concurrence
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
 # search past the kinks where a column turns product (see
 # highdim._column_concurrence), and the last stage minimizes the average itself.
 _SMOOTHING = (1e-3, 1e-6, 0.0)
+# Two-qubit fuzz trials are evaluated this many at a time, so the stacked
+# buffers stay a few MB whatever the trial count.
+_FUZZ_CHUNK = 2048
+# The two X-part witnesses of a two-qubit state as flat indices (a, b, c, d):
+# the coherence at [a, b] against the diagonals [c, c] and [d, d], i.e. the
+# margins c1 and c2 of x_concurrence.
+_X_WITNESSES = ((0, 3, 1, 2), (1, 2, 0, 3))
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,9 @@ def fuzz_inequality(
     comparison is safe at the same direction.  Either way only roundoff needs
     slack, so the tolerance is 1e-10.  Ranks cycle through 1..dimA*dimB
     unless an explicit list is given.  Rank-1 two-qubit trials additionally
-    check the signed pure-state inequality |c1| <= C.
+    check the signed pure-state inequality |c1| <= C.  Trial t always samples
+    from SeedSequence([seed, t]); two-qubit trials are evaluated in stacked
+    chunks (_fuzz_two_qubit), the others one at a time.
     """
     dimA, dimB = dims
     exact_ref = (dimA, dimB) == (2, 2)
@@ -229,28 +238,24 @@ def fuzz_inequality(
         oracle_cfg = OptimizerConfig(restarts=1, max_iters=150)
     rank_cycle = ranks if ranks is not None else list(range(1, dimA * dimB + 1))
 
-    violations = 0
-    max_gap = -math.inf
-    min_slack = math.inf
-    for t in range(trials):
-        rank = rank_cycle[t % len(rank_cycle)]
-        q = sample_random_density(dimA, dimB, rank, np.random.SeedSequence([seed, t]))
-        if exact_ref:
-            rep = x_concurrence(x_decompose(q)[0])
-            reference = wootters_concurrence(q)
-            bound = rep.bound
-            if rank == 1 and abs(rep.c1) > reference + 1e-10:
-                violations += 1
-        else:
+    if exact_ref:
+        violations, min_slack, max_gap = _fuzz_two_qubit(trials, seed, rank_cycle, cmp_tol)
+    else:
+        violations = 0
+        max_gap = -math.inf
+        min_slack = math.inf
+        for t in range(trials):
+            rank = rank_cycle[t % len(rank_cycle)]
+            q = sample_random_density(dimA, dimB, rank, np.random.SeedSequence([seed, t]))
             bound = generalized_lower_bound(q).bound
             reference = convex_roof_upper(
                 q, replace(oracle_cfg, seed=oracle_cfg.seed + t)
             ).value
-        slack = float(reference - bound)
-        min_slack = min(min_slack, slack)
-        max_gap = max(max_gap, slack)
-        if bound > reference + cmp_tol:
-            violations += 1
+            slack = float(reference - bound)
+            min_slack = min(min_slack, slack)
+            max_gap = max(max_gap, slack)
+            if bound > reference + cmp_tol:
+                violations += 1
     return FuzzReport(
         trials=trials,
         dimA=dimA,
@@ -261,6 +266,40 @@ def fuzz_inequality(
         min_slack=min_slack,
         oracle_tolerance=cmp_tol,
     )
+
+
+def _fuzz_two_qubit(trials: int, seed: int, rank_cycle: list[int],
+                    cmp_tol: float) -> tuple[int, float, float]:
+    """Violations, min slack and max gap of the two-qubit fuzz, _FUZZ_CHUNK trials at a time.
+
+    Each trial's state comes from its own stream, as elsewhere in
+    fuzz_inequality; the X margins, the Wootters values, the X-part
+    positivity warning and both violation rules then run once per chunk on
+    the stacked matrices.
+    """
+    mats = np.empty((min(trials, _FUZZ_CHUNK), 4, 4), dtype=complex)
+    pure = np.empty(len(mats), dtype=bool)
+    violations, min_slack, max_gap = 0, math.inf, -math.inf
+    for start in range(0, trials, _FUZZ_CHUNK):
+        n = min(_FUZZ_CHUNK, trials - start)
+        for i in range(n):
+            rank = rank_cycle[(start + i) % len(rank_cycle)]
+            pure[i] = rank == 1
+            mats[i] = sample_random_density(
+                2, 2, rank, np.random.SeedSequence([seed, start + i])).mat
+        m = mats[:n]
+        _warn_if_x_inconsistent(m)
+        c1, c2 = (_margin(m[:, a, b], m[:, c, c].real, m[:, d, d].real)
+                  for a, b, c, d in _X_WITNESSES)
+        bound = np.maximum(np.maximum(0.0, c1), c2)
+        reference = _wootters(m)
+        # Rank-1 trials also check the signed pure-state inequality |c1| <= C.
+        violations += int(np.count_nonzero(pure[:n] & (np.abs(c1) > reference + 1e-10)))
+        violations += int(np.count_nonzero(bound > reference + cmp_tol))
+        slack = reference - bound
+        min_slack = min(min_slack, float(slack.min()))
+        max_gap = max(max_gap, float(slack.max()))
+    return violations, min_slack, max_gap
 
 
 @dataclass(frozen=True)
@@ -298,10 +337,6 @@ def _expi_grad(gu: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (0.5 * ((1.0 - 1.0j) * gh + (1.0 + 1.0j) * gh.T)).real.ravel()
 
 
-# The two X-part witnesses of a two-qubit state as flat indices (a, b, c, d):
-# the coherence at [a, b] against the diagonals [c, c] and [d, d], i.e. the
-# margins c1 and c2 of x_concurrence.
-_X_WITNESSES = ((0, 3, 1, 2), (1, 2, 0, 3))
 # L-BFGS ftol and gtol of the basis search, below the 1e-10 of its early stop.
 _BASIS_TOL = 1e-12
 

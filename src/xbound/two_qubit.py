@@ -86,22 +86,31 @@ def x_decompose(q: DensityMatrix) -> tuple[XCore, np.ndarray]:
         q23=m[1, 2],
     )
     o = np.where(_X_MASK, 0.0, m)
-    _warn_if_x_inconsistent(x)
+    _warn_if_x_inconsistent(m)
     return x, o
 
 
-def _warn_if_x_inconsistent(x: XCore, slack: float = 1e-8) -> None:
-    # The X part of a valid state is itself a valid state; a violated
-    # positivity constraint here is numerical noise upstream, not an error.
-    if abs(x.q14) > math.sqrt(max(x.d11, 0.0) * max(x.d44, 0.0)) + slack:
+def _warn_if_x_inconsistent(m: np.ndarray, slack: float = 1e-8) -> None:
+    """Warn if the X part of any 4x4 matrix in the (..., 4, 4) stack m is not positive.
+
+    The X part of a valid state is itself a valid state; a violated
+    positivity constraint here is numerical noise upstream, not an error.
+    """
+    d = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0)
+    if np.any(np.abs(m[..., 0, 3]) > np.sqrt(d[..., 0] * d[..., 3]) + slack):
         warnings.warn("X-part positivity |q14| <= sqrt(d11*d44) violated beyond tolerance")
-    if abs(x.q23) > math.sqrt(max(x.d22, 0.0) * max(x.d33, 0.0)) + slack:
+    if np.any(np.abs(m[..., 1, 2]) > np.sqrt(d[..., 1] * d[..., 2]) + slack):
         warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
 
 
-def _margin(coh: complex, d1: float, d2: float) -> float:
-    """Signed margin 2(|coh| - sqrt(d1 d2)), the scalar twin of highdim._pair_terms."""
-    return 2.0 * (abs(coh) - math.sqrt(max(d1 * d2, 0.0)))
+def _margin(coh, d1, d2):
+    """Signed margin 2(|coh| - sqrt(d1 d2)), elementwise; the 2x2 twin of highdim._pair_terms.
+
+    |coh| is taken by hypot: numpy's vectorized complex abs can differ from
+    the scalar one in the last bit, and a margin must not depend on whether
+    it was computed alone or in a stack.
+    """
+    return 2.0 * (np.hypot(np.real(coh), np.imag(coh)) - np.sqrt(np.maximum(d1 * d2, 0.0)))
 
 
 def x_concurrence(x: XCore) -> BoundReport:
@@ -121,20 +130,26 @@ def pure_concurrence_2q(psi: PureState) -> float:
     return float(_column_concurrence(psi.amps[:, None], 2, 2)[0])
 
 
-def wootters_concurrence(q: DensityMatrix) -> float:
-    """Exact two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
+def _wootters(mats: np.ndarray) -> np.ndarray:
+    """Exact concurrence of every two-qubit state in a (..., 4, 4) stack.
 
-    The l_i are, in decreasing order, the square roots of the eigenvalues of
-    rho * rho~ with rho~ = (sy(x)sy) rho* (sy(x)sy).  Computed here as the
-    singular values of sqrt(rho) (sy(x)sy) sqrt(rho)*, which is numerically
-    stable (no square root of near-zero eigenvalues).
+    max{0, l1 - l2 - l3 - l4}, where the l_i are, in decreasing order, the
+    square roots of the eigenvalues of rho * rho~ with
+    rho~ = (sy(x)sy) rho* (sy(x)sy).  Computed here as the singular values of
+    sqrt(rho) (sy(x)sy) sqrt(rho)*, which is numerically stable (no square
+    root of near-zero eigenvalues).
     """
-    _require_2x2(q)
-    evals, vecs = np.linalg.eigh(q.mat)
-    sqrt_rho = (vecs * clipped_sqrt(evals)) @ vecs.conj().T
+    evals, vecs = np.linalg.eigh(mats)
+    sqrt_rho = (vecs * clipped_sqrt(evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     a = sqrt_rho @ _SY2 @ sqrt_rho.conj()
     lam = np.linalg.svd(a, compute_uv=False)
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def wootters_concurrence(q: DensityMatrix) -> float:
+    """Exact two-qubit concurrence of q (Wootters, PRL 80, 2245 (1998)); see _wootters."""
+    _require_2x2(q)
+    return float(_wootters(q.mat))
 
 
 def x_lower_bound(q: DensityMatrix) -> BoundReport:

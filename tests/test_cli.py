@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from xbound import (
+    DensityMatrix,
     InvariantViolation,
     IsotropicState,
     conjugate_by_local_unitary,
@@ -15,6 +16,7 @@ from xbound import (
 )
 from xbound.cli import main
 from xbound.io import load_density, save_density
+from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.reference_states import bell_phi_plus, maximally_mixed
 
 
@@ -97,6 +99,34 @@ class TestBound:
             out = capsys.readouterr().out
             assert code == 1
             assert "verdict=inconclusive" in out
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys, monkeypatch):
+        # The parser is built once per process; each call must still start
+        # from the defaults.
+        path = tmp_path / "loose.json"
+        m = maximally_mixed(2, 2).mat.copy()
+        m[0, 0] += 1e-4  # trace off by 1e-4: accepted at --tol 1e-3 only
+        save_density(DensityMatrix(2, 2, m), path)
+        assert main(["--tol", "1e-3", "bound", str(path), "--dims", "2,2"]) == 1
+        capsys.readouterr()
+        assert main(["bound", str(path)]) == 2
+        assert "TraceNotOne" in capsys.readouterr().err
+
+        seen = []
+        monkeypatch.setattr("xbound.cli.load_density",
+                            lambda p, tol: seen.append(tol) or maximally_mixed(3, 3))
+        assert main(["--tol", "1e-3", "bound", str(path), "--dims", "2,2"]) == 2
+        assert main(["bound", str(path)]) == 1
+        assert seen == [Tolerances.uniform(1e-3), DEFAULT_TOL]
+
+    def test_non_finite_entry(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        m = maximally_mixed(2, 2).mat.copy()
+        m[1, 2] = np.nan
+        save_density(DensityMatrix(2, 2, m), path)
+        code = main(["bound", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: NonFinite:")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol(self, tmp_path, capsys, tol):
@@ -239,6 +269,17 @@ class TestOptimizeBasis:
         path = tmp_path / "big.json"
         save_density(maximally_mixed(3, 3), path)
         assert main(["optimize-basis", str(path)]) == 2
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_non_positive_restarts(self, bell_file, tmp_path, capsys, restarts):
+        out_json = tmp_path / "u.json"
+        code = main(["optimize-basis", bell_file, "--restarts", restarts,
+                     "--out", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not out_json.exists()
 
     def test_invariant_violation_exits_3(self, bell_file, tmp_path, capsys, monkeypatch):
         def broken(q, cfg):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import xbound
 from xbound import (
     InvalidRank,
+    NonFinite,
     NotHermitian,
     NotPositive,
     NotUnitary,
@@ -11,11 +13,13 @@ from xbound import (
     conjugate_by_local_unitary,
     partial_trace_B,
     projector,
+    pure_state,
     sample_haar_pure,
     sample_haar_unitary,
     sample_random_density,
     validate_density,
 )
+from xbound import errors, linalg
 from xbound.reference_states import bell_phi_plus
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,6 +50,13 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(m, 2, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 1] = bad
+        with pytest.raises(NonFinite):
+            validate_density(m, 2, 2)
+
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             validate_density(np.eye(4), 2, 2)
@@ -58,6 +69,14 @@ class TestValidateDensity:
         for seed in range(1000):
             q = sample_random_density(2, 2, seed % 4 + 1, seed)
             validate_density(q.mat, 2, 2)
+
+
+class TestPureState:
+    def test_norm_error(self):
+        assert linalg.StateNormError is xbound.StateNormError is errors.StateNormError
+        assert issubclass(errors.StateNormError, errors.TraceNotOne)
+        with pytest.raises(errors.StateNormError):
+            pure_state(np.array([1.0, 0.0, 0.0, 1.0]), 2, 2)
 
 
 class TestPartialTrace:

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from xbound import (
+    FuzzReport,
     OptimizerConfig,
     conjugate_by_local_unitary,
     convex_roof_upper,
@@ -15,9 +18,11 @@ from xbound import (
     sample_random_density,
     validate_density,
     wootters_concurrence,
+    x_concurrence,
+    x_decompose,
     x_lower_bound,
 )
-from xbound.oracle import _X_WITNESSES, _basis_margin, _ensemble_average
+from xbound.oracle import _FUZZ_CHUNK, _X_WITNESSES, _basis_margin, _ensemble_average
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
@@ -40,6 +45,33 @@ def eigen_weights(q, rank):
     """Scaled eigenvectors of the rank largest eigenvalues, as convex_roof_upper builds them."""
     evals, vecs = np.linalg.eigh(q.mat)
     return vecs[:, -rank:] * np.sqrt(evals[-rank:])
+
+
+def fuzz_trials_2q(trials, seed, ranks):
+    """(violations, slack) of every two-qubit fuzz trial, one state at a time."""
+    cycle = ranks if ranks is not None else [1, 2, 3, 4]
+    out = []
+    for t in range(trials):
+        rank = cycle[t % len(cycle)]
+        q = sample_random_density(2, 2, rank, np.random.SeedSequence([seed, t]))
+        rep = x_concurrence(x_decompose(q)[0])
+        exact = wootters_concurrence(q)
+        violations = int(rank == 1 and abs(rep.c1) > exact + 1e-10)
+        violations += int(rep.bound > exact + 1e-10)
+        out.append((violations, float(exact - rep.bound)))
+    return out
+
+
+@functools.cache
+def cached_fuzz_trials_2q(seed, ranks):
+    return fuzz_trials_2q(_FUZZ_CHUNK + 3, seed, list(ranks) if ranks else None)
+
+
+def fuzz_report_2q(trials, seed, per_trial):
+    slacks = [slack for _, slack in per_trial[:trials]]
+    return FuzzReport(trials=trials, dimA=2, dimB=2, seed=seed,
+                      violations=sum(v for v, _ in per_trial[:trials]),
+                      max_gap=max(slacks), min_slack=min(slacks), oracle_tolerance=1e-10)
 
 
 def random_product_mixture(seed, terms=4):
@@ -161,6 +193,40 @@ class TestFuzz:
     def test_rank_one_includes_pure_check(self):
         rep = fuzz_inequality(100, (2, 2), 0, ranks=[1])
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("ranks", [None, (1,), (3, 4)], ids=["cycle", "rank1", "rank3-4"])
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("trials", [1, 7, _FUZZ_CHUNK, _FUZZ_CHUNK + 3])
+    def test_chunked_2q_matches_per_trial_loop(self, trials, seed, ranks):
+        rep = fuzz_inequality(trials, (2, 2), seed, list(ranks) if ranks else None)
+        expected = fuzz_report_2q(trials, seed, cached_fuzz_trials_2q(seed, ranks))
+        assert rep.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("trials,seed,ranks,max_gap,min_slack", [
+        (7, 0, [1], 0.6004710584075597, 0.12756813037434184),
+        (1, 42, [3, 4], 0.2341316940911065, 0.2341316940911065),
+        (2000, 42, [1], 0.969657502771216, 6.647722485542129e-07),
+    ])
+    def test_2q_report_pinned(self, trials, seed, ranks, max_gap, min_slack):
+        # Reports of the one-state-at-a-time fuzzer, which took |coh| by the
+        # scalar complex abs: the stacked margins must reproduce them bitwise.
+        rep = fuzz_inequality(trials, (2, 2), seed, ranks)
+        assert (rep.violations, rep.max_gap, rep.min_slack) == (0, max_gap, min_slack)
+
+    @pytest.mark.parametrize("ranks", [None, [1]], ids=["cycle", "rank1"])
+    def test_violation_count_matches_per_trial_loop(self, monkeypatch, ranks):
+        # With every Wootters value forced to 0, each entangled X part and
+        # (at rank 1) each nonzero |c1| counts as a violation.
+        zero = lambda mats: np.zeros(mats.shape[:-2])  # noqa: E731
+        monkeypatch.setattr("xbound.two_qubit._wootters", zero)
+        monkeypatch.setattr("xbound.oracle._wootters", zero)
+        trials = _FUZZ_CHUNK + 3
+        rep = fuzz_inequality(trials, (2, 2), 3, ranks)
+        expected = fuzz_report_2q(trials, 3, fuzz_trials_2q(trials, 3, ranks))
+        assert rep.violations == expected.violations > trials // 2
+        if ranks == [1]:
+            assert rep.violations > trials  # the |c1| rule fired as well
+        assert rep.to_json() == expected.to_json()
 
     def test_3x3_small(self):
         rep = fuzz_inequality(9, (3, 3), 7)

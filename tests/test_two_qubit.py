@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from xbound import (
+    DensityMatrix,
     OutOfRange,
     WrongDimensions,
     XCore,
@@ -28,6 +30,7 @@ from xbound.reference_states import (
     werner_exact_concurrence,
     werner_state,
 )
+from xbound.two_qubit import _warn_if_x_inconsistent, _wootters
 
 CHI_C = 0.5 - math.sqrt(2.0) / 3.0  # 2|alpha*delta - beta*gamma| for chi
 
@@ -68,6 +71,23 @@ class TestXDecompose:
     def test_wrong_dims_rejected(self):
         with pytest.raises(WrongDimensions):
             x_decompose(maximally_mixed(3, 3))
+
+    def test_positivity_warning(self):
+        # Not a state: |q14| = 0.5 > sqrt(d11 d44) = 0.25.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = m[3, 0] = 0.5
+        with pytest.warns(UserWarning, match="q14"):
+            x_decompose(DensityMatrix(2, 2, m))
+
+    def test_positivity_warning_on_a_stack(self):
+        good = np.array([sample_random_density(2, 2, r, r).mat for r in (1, 2, 3, 4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _warn_if_x_inconsistent(good)
+        bad = good.copy()
+        bad[2, 1, 2] = bad[2, 2, 1] = 1.0
+        with pytest.warns(UserWarning, match="q23"):
+            _warn_if_x_inconsistent(bad)
 
 
 class TestXConcurrence:
@@ -140,6 +160,14 @@ class TestWootters:
         for seed in range(100):
             c = wootters_concurrence(sample_random_density(2, 2, seed % 4 + 1, seed))
             assert 0.0 <= c <= 1.0 + 1e-12
+
+    def test_stacked_kernel_matches_per_state(self):
+        states = [sample_random_density(2, 2, seed % 4 + 1, seed) for seed in range(200)]
+        states += [projector(bell_phi_plus()), werner_state(0.8), werner_state(0.2)]
+        stacked = _wootters(np.array([q.mat for q in states]))
+        per_state = np.array([wootters_concurrence(q) for q in states])
+        assert stacked.shape == (len(states),)
+        assert np.array_equal(stacked, per_state)
 
 
 class TestXLowerBound:
