@@ -110,7 +110,7 @@ def _margin(coh, d1, d2):
     the scalar one in the last bit, and a margin must not depend on whether
     it was computed alone or in a stack.
     """
-    return 2.0 * (np.hypot(np.real(coh), np.imag(coh)) - np.sqrt(np.maximum(d1 * d2, 0.0)))
+    return 2.0 * (np.hypot(coh.real, coh.imag) - np.sqrt(np.maximum(d1 * d2, 0.0)))
 
 
 def x_concurrence(x: XCore) -> BoundReport:
