@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .errors import InvariantViolation, StateValidationError
+from .errors import InvariantViolation, OutOfRange, StateValidationError
 from .highdim import generalized_lower_bound
 from .io import (
     hash_file,
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tol", type=float, default=None,
                         help="override all validation tolerances with one value")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed, >= 0 (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="lower bound of a density matrix read from file")
@@ -194,6 +194,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise OutOfRange(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except StateValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -3,16 +3,24 @@
 All matrices are plain numpy arrays in the row-major product basis with the
 A-index major, i.e. the basis vector |i, k> sits at flat index i * dimB + k.
 For two qubits this is the ordering {|00>, |01>, |10>, |11>}.
+
+Random states are Ginibre states (_ginibre).  The fuzzer's trial t draws from
+np.random.SeedSequence([seed, t]); _stream_states derives the PCG64 states of
+a whole run of such streams at once (numpy's SeedSequence hash vectorized in
+uint32, then PCG64's seeding), and _trial_densities samples those trials
+stacked, bit for bit as sample_random_density would one at a time.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
     InvalidRank,
+    InvariantViolation,
     NonFinite,
     NotHermitian,
     NotPositive,
@@ -130,20 +138,138 @@ def partial_trace_B(q: DensityMatrix) -> np.ndarray:
     return np.trace(t, axis1=1, axis2=3)
 
 
+def _ginibre(x: np.ndarray) -> np.ndarray:
+    """States G G^dag / Tr[G G^dag] of a stack x of shape (n, 2, d, rank).
+
+    G = x[:, 0] + i x[:, 1]: one draw of standard normals of shape
+    (2, d, rank) holds the real parts of G and then its imaginary parts.
+    """
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _check_ranks(ranks, d: int) -> None:
+    for rank in ranks:
+        if not 1 <= rank <= d:
+            raise InvalidRank(f"rank must be in [1, {d}], got {rank}")
+
+
 def sample_random_density(dimA: int, dimB: int, rank: int, seed) -> DensityMatrix:
     """Random mixed state of prescribed rank via the Ginibre construction.
 
     G is a (dimA*dimB) x rank matrix of independent standard complex Gaussians
-    and the state is G G^dag / Tr[G G^dag].  Deterministic for a fixed seed.
+    and the state is G G^dag / Tr[G G^dag].  Deterministic for a fixed seed,
+    which may be anything np.random.default_rng accepts.
     """
     d = dimA * dimB
-    if not 1 <= rank <= d:
-        raise InvalidRank(f"rank must be in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix(dimA=dimA, dimB=dimB, mat=m)
+    _check_ranks([rank], d)
+    x = np.random.default_rng(seed).standard_normal((1, 2, d, rank))
+    return DensityMatrix(dimA=dimA, dimB=dimB, mat=_ginibre(x)[0])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
+# pool of four 32-bit words, and the multiplier of PCG64's 128-bit LCG.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _stream_states(seed: int, ts) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of np.random.PCG64(np.random.SeedSequence([seed, t])) for each t in ts.
+
+    SeedSequence's entropy words are the little-endian 32-bit words of seed
+    ([0] for 0) followed by t.  Its mix_entropy and generate_state(4,
+    np.uint64) run here in uint32 arithmetic over all of ts at once; their
+    four 64-bit words w0..w3 then seed PCG64 as numpy does, with
+    initstate = w0 w1 and inc = (w2 w3) << 1 | 1, and two LCG steps from 0.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    ts = np.asarray(ts, dtype=np.int64)
+    if ts.size and (ts.min() < 0 or ts.max() > _MASK32):
+        raise OutOfRange(f"trial index must be in [0, 2**32), got {ts.min()}..{ts.max()}")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(ts.shape, w, dtype=np.uint32) for w in words] + [ts.astype(np.uint32)]
+    entropy += [np.zeros(ts.shape, dtype=np.uint32)] * (4 - len(entropy))
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+
+    hash_const = _HASH_INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        halves.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    w0, w1, w2, w3 = ((halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist()
+                      for k in range(4))
+    out = []
+    for a, b, c, e in zip(w0, w1, w2, w3):
+        inc = ((c << 64 | e) << 1 | 1) & _MASK128
+        out.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> np.ndarray:
+    """Matrices of trials start, start+1, ... as sample_random_density draws them, stacked.
+
+    Trial start + i has rank ranks[i] and the stream of
+    SeedSequence([seed, start + i]), and its matrix equals
+    sample_random_density(dimA, dimB, ranks[i], SeedSequence([seed, start + i])).mat
+    bit for bit.  The streams' states come from _stream_states; the first
+    one is checked against numpy's own seeding, so a numpy release that
+    seeds differently raises InvariantViolation rather than changing the
+    states.  Trials of one rank are built together by _ginibre.
+    """
+    d = dimA * dimB
+    ranks = np.asarray(ranks)
+    _check_ranks(np.unique(ranks), d)
+    states = _stream_states(seed, np.arange(start, start + ranks.size))
+    bitgen = np.random.PCG64(np.random.SeedSequence([seed, start]))
+    numpy_state = bitgen.state["state"]
+    if ranks.size and states[0] != (numpy_state["state"], numpy_state["inc"]):
+        raise InvariantViolation(
+            f"derived PCG64 state of trial {start} (seed {seed}) differs from numpy's"
+        )
+    rng = np.random.Generator(bitgen)
+    out = np.empty((ranks.size, d, d), dtype=complex)
+    for rank in np.unique(ranks):
+        idx = np.flatnonzero(ranks == rank)
+        x = np.empty((idx.size, 2, d, rank))
+        for j, i in enumerate(idx):
+            state, inc = states[i]
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            rng.standard_normal(out=x[j])
+        out[idx] = _ginibre(x)
+    return out
 
 
 def sample_haar_pure(dimA: int, dimB: int, seed) -> PureState:

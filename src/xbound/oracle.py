@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, OutOfRange
 from .highdim import _column_concurrence, generalized_lower_bound
-from .linalg import DensityMatrix, PureState, sample_random_density
+from .linalg import DensityMatrix, PureState, _trial_densities, sample_random_density
 from .two_qubit import _margin, _warn_if_x_inconsistent, _wootters, wootters_concurrence
 
 _RANK_TOL = 1e-12
@@ -226,9 +226,17 @@ def fuzz_inequality(
     slack, so the tolerance is 1e-10.  Ranks cycle through 1..dimA*dimB
     unless an explicit list is given.  Rank-1 two-qubit trials additionally
     check the signed pure-state inequality |c1| <= C.  Trial t always samples
-    from SeedSequence([seed, t]); two-qubit trials are evaluated in stacked
-    chunks (_fuzz_two_qubit), the others one at a time.
+    from SeedSequence([seed, t]), so seed must be >= 0 and trials at most
+    2**32 (t is one 32-bit entropy word); both raise OutOfRange otherwise.
+    Two-qubit trials are evaluated in stacked chunks (_fuzz_two_qubit), whose
+    stream states are derived for the whole chunk at once
+    (linalg._stream_states); the others are sampled and evaluated one at a
+    time.
     """
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    if trials > 2**32:
+        raise OutOfRange(f"trials must be <= 2**32, got {trials}")
     dimA, dimB = dims
     exact_ref = (dimA, dimB) == (2, 2)
     cmp_tol = 1e-10
@@ -273,28 +281,23 @@ def _fuzz_two_qubit(trials: int, seed: int, rank_cycle: list[int],
     """Violations, min slack and max gap of the two-qubit fuzz, _FUZZ_CHUNK trials at a time.
 
     Each trial's state comes from its own stream, as elsewhere in
-    fuzz_inequality; the X margins, the Wootters values, the X-part
-    positivity warning and both violation rules then run once per chunk on
-    the stacked matrices.
+    fuzz_inequality, but the chunk's states are sampled together
+    (linalg._trial_densities, bitwise equal to sample_random_density); the
+    X margins, the Wootters values, the X-part positivity warning and both
+    violation rules then run once per chunk on the stacked matrices.
     """
-    mats = np.empty((min(trials, _FUZZ_CHUNK), 4, 4), dtype=complex)
-    pure = np.empty(len(mats), dtype=bool)
+    cycle = np.asarray(rank_cycle)
     violations, min_slack, max_gap = 0, math.inf, -math.inf
     for start in range(0, trials, _FUZZ_CHUNK):
-        n = min(_FUZZ_CHUNK, trials - start)
-        for i in range(n):
-            rank = rank_cycle[(start + i) % len(rank_cycle)]
-            pure[i] = rank == 1
-            mats[i] = sample_random_density(
-                2, 2, rank, np.random.SeedSequence([seed, start + i])).mat
-        m = mats[:n]
+        ranks = cycle[np.arange(start, min(trials, start + _FUZZ_CHUNK)) % cycle.size]
+        m = _trial_densities(2, 2, seed, start, ranks)
         _warn_if_x_inconsistent(m)
         c1, c2 = (_margin(m[:, a, b], m[:, c, c].real, m[:, d, d].real)
                   for a, b, c, d in _X_WITNESSES)
         bound = np.maximum(np.maximum(0.0, c1), c2)
         reference = _wootters(m)
         # Rank-1 trials also check the signed pure-state inequality |c1| <= C.
-        violations += int(np.count_nonzero(pure[:n] & (np.abs(c1) > reference + 1e-10)))
+        violations += int(np.count_nonzero((ranks == 1) & (np.abs(c1) > reference + 1e-10)))
         violations += int(np.count_nonzero(bound > reference + cmp_tol))
         slack = reference - bound
         min_slack = min(min_slack, float(slack.min()))

@@ -230,7 +230,8 @@ class TestFuzz:
     @pytest.mark.parametrize("argv", [
         ["fuzz", "--trials", "0"],
         ["fuzz", "--trials", "5", "--dims", "0,2"],
-    ], ids=["zero-trials", "zero-dim"])
+        ["fuzz", "--trials", str(2**32 + 1)],
+    ], ids=["zero-trials", "zero-dim", "too-many-trials"])
     def test_bad_params(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -289,6 +290,26 @@ class TestOptimizeBasis:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: InvariantViolation:")
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "{bell}"],
+        ["certify", "--q14", "0.25", "--d22", "0.1", "--d33", "0.1"],
+        ["isotropic-sweep", "--d", "3", "--steps", "5", "--out", "{out}"],
+        ["fuzz", "--trials", "3"],
+        ["fuzz", "--trials", "3", "--dims", "3,3"],
+        ["optimize-basis", "{bell}", "--out", "{out}"],
+    ], ids=["bound", "certify", "isotropic-sweep", "fuzz", "fuzz-3x3", "optimize-basis"])
+    def test_exits_2(self, bell_file, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        argv = [a.format(bell=bell_file, out=out) for a in argv]
+        code = main(["--seed", "-1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: OutOfRange: --seed must be >= 0")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestRoundTrip:

@@ -20,6 +20,7 @@ from xbound import (
     validate_density,
 )
 from xbound import errors, linalg
+from xbound.oracle import _FUZZ_CHUNK
 from xbound.reference_states import bell_phi_plus
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,6 +122,20 @@ class TestSampling:
             sample_random_density(2, 2, 5, 0)
         with pytest.raises(InvalidRank):
             sample_random_density(2, 2, 0, 0)
+        for ranks in ([2, 5], [0, 1]):
+            with pytest.raises(InvalidRank):
+                linalg._trial_densities(2, 2, 0, 0, ranks)
+
+    @pytest.mark.parametrize("rank", [1, 4, 9])
+    def test_matches_two_draw_formula(self, rank):
+        # The Ginibre construction as written before sample_random_density
+        # drew G in one call: real parts, then imaginary parts.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((9, rank)) + 1j * rng.standard_normal((9, rank))
+            m = g @ g.conj().T
+            m /= np.trace(m).real
+            assert sample_random_density(3, 3, rank, seed).mat.tobytes() == m.tobytes()
 
     def test_haar_pure_norm(self):
         psi = sample_haar_pure(2, 2, 0)
@@ -151,6 +166,31 @@ class TestSampling:
     def test_haar_unitary_is_unitary(self):
         u = sample_haar_unitary(5, 0)
         assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-12
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 10**23])
+    def test_stream_states_match_numpy(self, seed):
+        ts = list(range(_FUZZ_CHUNK + 4)) + [2**32 - 1]
+        expected = []
+        for t in ts:
+            state = np.random.PCG64(np.random.SeedSequence([seed, t])).state["state"]
+            expected.append((state["state"], state["inc"]))
+        assert linalg._stream_states(seed, ts) == expected
+
+    @pytest.mark.parametrize("seed,ts", [(-1, [0]), (0, [2**32]), (0, [-1])],
+                             ids=["negative-seed", "two-word-t", "negative-t"])
+    def test_stream_states_out_of_range(self, seed, ts):
+        with pytest.raises(errors.OutOfRange):
+            linalg._stream_states(seed, ts)
+
+    @pytest.mark.parametrize("seed,start", [(0, 0), (42, 5), (10**23, 2**32 - 40)])
+    def test_trial_densities_match_sample_random_density(self, seed, start):
+        ranks = np.array([1, 2, 3, 4, 4, 2, 1, 3] * 4)
+        mats = linalg._trial_densities(2, 2, seed, start, ranks)
+        for i, rank in enumerate(ranks):
+            q = sample_random_density(2, 2, rank, np.random.SeedSequence([seed, start + i]))
+            assert mats[i].tobytes() == q.mat.tobytes()
 
 
 class TestLocalUnitaryConjugation:

@@ -5,6 +5,9 @@ import pytest
 
 from xbound import (
     FuzzReport,
+    InvalidRank,
+    InvariantViolation,
+    OutOfRange,
     OptimizerConfig,
     conjugate_by_local_unitary,
     convex_roof_upper,
@@ -22,6 +25,7 @@ from xbound import (
     x_decompose,
     x_lower_bound,
 )
+from xbound import linalg, oracle
 from xbound.oracle import _FUZZ_CHUNK, _X_WITNESSES, _basis_margin, _ensemble_average
 from xbound.reference_states import (
     IsotropicState,
@@ -195,7 +199,8 @@ class TestFuzz:
         assert rep.violations == 0
 
     @pytest.mark.parametrize("ranks", [None, (1,), (3, 4)], ids=["cycle", "rank1", "rank3-4"])
-    @pytest.mark.parametrize("seed", [0, 42])
+    # 2**40 and 10**23 take two and three entropy words in SeedSequence.
+    @pytest.mark.parametrize("seed", [0, 42, 2**40, 10**23])
     @pytest.mark.parametrize("trials", [1, 7, _FUZZ_CHUNK, _FUZZ_CHUNK + 3])
     def test_chunked_2q_matches_per_trial_loop(self, trials, seed, ranks):
         rep = fuzz_inequality(trials, (2, 2), seed, list(ranks) if ranks else None)
@@ -227,6 +232,41 @@ class TestFuzz:
         if ranks == [1]:
             assert rep.violations > trials  # the |c1| rule fired as well
         assert rep.to_json() == expected.to_json()
+
+    def test_stream_guard(self, monkeypatch):
+        # A derived stream state that differs from numpy's seeding in one bit
+        # must stop the fuzz, not sample from a different stream.
+        derive = linalg._stream_states
+
+        def flipped(seed, ts):
+            states = derive(seed, ts)
+            state, inc = states[0]
+            states[0] = (state ^ 1 << 77, inc)
+            return states
+        monkeypatch.setattr(linalg, "_stream_states", flipped)
+        with pytest.raises(InvariantViolation):
+            fuzz_inequality(_FUZZ_CHUNK + 3, (2, 2), 42)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_negative_seed(self, dims):
+        with pytest.raises(OutOfRange):
+            fuzz_inequality(3, dims, -1)
+
+    def test_trial_limit(self, monkeypatch):
+        # Trial t is one 32-bit entropy word; the limit is checked before any
+        # trial is sampled.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the trial count was checked")
+        monkeypatch.setattr(oracle, "_trial_densities", no_sampling)
+        monkeypatch.setattr(oracle, "sample_random_density", no_sampling)
+        for dims in ((2, 2), (3, 3)):
+            with pytest.raises(OutOfRange):
+                fuzz_inequality(2**32 + 1, dims, 0)
+
+    @pytest.mark.parametrize("ranks", [[0], [5]])
+    def test_invalid_rank(self, ranks):
+        with pytest.raises(InvalidRank):
+            fuzz_inequality(3, (2, 2), 0, ranks)
 
     def test_3x3_small(self):
         rep = fuzz_inequality(9, (3, 3), 7)
