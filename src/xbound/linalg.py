@@ -191,7 +191,7 @@ def _stream_states(seed: int, ts) -> list[tuple[int, int]]:
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
     ts = np.asarray(ts, dtype=np.int64)
-    if ts.size and (ts.min() < 0 or ts.max() > _MASK32):
+    if ts.min() < 0 or ts.max() > _MASK32:
         raise OutOfRange(f"trial index must be in [0, 2**32), got {ts.min()}..{ts.max()}")
     words = [seed & _MASK32]
     while seed > _MASK32:
@@ -250,17 +250,18 @@ def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> np.n
     """
     d = dimA * dimB
     ranks = np.asarray(ranks)
-    _check_ranks(np.unique(ranks), d)
+    levels = np.unique(ranks)
+    _check_ranks(levels, d)
     states = _stream_states(seed, np.arange(start, start + ranks.size))
     bitgen = np.random.PCG64(np.random.SeedSequence([seed, start]))
     numpy_state = bitgen.state["state"]
-    if ranks.size and states[0] != (numpy_state["state"], numpy_state["inc"]):
+    if states[0] != (numpy_state["state"], numpy_state["inc"]):
         raise InvariantViolation(
             f"derived PCG64 state of trial {start} (seed {seed}) differs from numpy's"
         )
     rng = np.random.Generator(bitgen)
     out = np.empty((ranks.size, d, d), dtype=complex)
-    for rank in np.unique(ranks):
+    for rank in levels:
         idx = np.flatnonzero(ranks == rank)
         x = np.empty((idx.size, 2, d, rank))
         for j, i in enumerate(idx):
