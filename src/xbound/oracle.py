@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InvariantViolation, OutOfRange
+from .errors import InvalidRank, InvariantViolation, OutOfRange
 from .highdim import _column_concurrence, generalized_lower_bound
 from .linalg import DensityMatrix, PureState, _trial_densities, sample_random_density
 from .two_qubit import _margin, _warn_if_x_inconsistent, _wootters, wootters_concurrence
@@ -226,8 +226,9 @@ def fuzz_inequality(
     slack, so the tolerance is 1e-10.  Ranks cycle through 1..dimA*dimB
     unless an explicit list is given.  Rank-1 two-qubit trials additionally
     check the signed pure-state inequality |c1| <= C.  Trial t always samples
-    from SeedSequence([seed, t]), so seed must be >= 0 and trials at most
-    2**32 (t is one 32-bit entropy word); both raise OutOfRange otherwise.
+    from SeedSequence([seed, t]), so seed must be >= 0 and trials in
+    [1, 2**32] (t is one 32-bit entropy word); both raise OutOfRange
+    otherwise, and an empty ranks list raises InvalidRank.
     Two-qubit trials are evaluated in stacked chunks (_fuzz_two_qubit), whose
     stream states are derived for the whole chunk at once
     (linalg._stream_states); the others are sampled and evaluated one at a
@@ -235,8 +236,10 @@ def fuzz_inequality(
     """
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
-    if trials > 2**32:
-        raise OutOfRange(f"trials must be <= 2**32, got {trials}")
+    if not 1 <= trials <= 2**32:
+        raise OutOfRange(f"trials must be in [1, 2**32], got {trials}")
+    if ranks is not None and not ranks:
+        raise InvalidRank("ranks must not be empty")
     dimA, dimB = dims
     exact_ref = (dimA, dimB) == (2, 2)
     cmp_tol = 1e-10

@@ -1,4 +1,5 @@
 import functools
+from itertools import product
 
 import numpy as np
 import pytest
@@ -259,14 +260,15 @@ class TestFuzz:
             raise AssertionError("sampled before the trial count was checked")
         monkeypatch.setattr(oracle, "_trial_densities", no_sampling)
         monkeypatch.setattr(oracle, "sample_random_density", no_sampling)
-        for dims in ((2, 2), (3, 3)):
+        for trials, dims in product((2**32 + 1, 0, -5), ((2, 2), (3, 3))):
             with pytest.raises(OutOfRange):
-                fuzz_inequality(2**32 + 1, dims, 0)
+                fuzz_inequality(trials, dims, 0)
 
-    @pytest.mark.parametrize("ranks", [[0], [5]])
-    def test_invalid_rank(self, ranks):
+    @pytest.mark.parametrize("ranks,dims", [([0], (2, 2)), ([5], (2, 2)), ([], (2, 2)),
+                                            ([], (3, 3))])
+    def test_invalid_rank(self, ranks, dims):
         with pytest.raises(InvalidRank):
-            fuzz_inequality(3, (2, 2), 0, ranks)
+            fuzz_inequality(3, dims, 0, ranks)
 
     def test_3x3_small(self):
         rep = fuzz_inequality(9, (3, 3), 7)
