@@ -10,6 +10,11 @@ A density matrix is stored as a JSON object::
     }
 
 The row/column index of |i,k> is i*dimB + k (A-index major).
+
+Files are decoded by orjson; whatever it rejects is handed to json.loads,
+which defines the format: it also reads the NaN/Infinity tokens that
+save_density writes for non-finite entries and overflowing literals such as
+1e400, which validation then rejects as NonFinite.
 """
 from __future__ import annotations
 
@@ -20,17 +25,39 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .errors import StateValidationError
 from .linalg import DEFAULT_TOL, DensityMatrix, Tolerances, validate_density
 
 
+# orjson 3.8 recurses once per nesting level, with no limit, and overflows the
+# C stack (a segfault) at about 150,000 levels on an 8 MB stack.  A document
+# with more brackets than this goes to json.loads, which raises RecursionError
+# instead; a state file has 2*dim + 3 of them.
+_ORJSON_MAX_BRACKETS = 1024
+
+
+def _decode(data: bytes):
+    """The JSON value of a state file's bytes (see the module docstring)."""
+    chars = np.frombuffer(data, dtype=np.uint8)  # counts 4x faster than bytes.count
+    brackets = np.count_nonzero(chars == ord("[")) + np.count_nonzero(chars == ord("{"))
+    if brackets <= _ORJSON_MAX_BRACKETS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(data.decode("utf-8"))
+
+
 def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Parse and validate a density-matrix JSON file."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = _decode(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # int-string digit limit.
         raise StateValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise StateValidationError("top level must be a JSON object")
@@ -46,7 +73,7 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateValidationError(
             f"re/im must be rectangular arrays of numbers: {exc}"
         ) from exc

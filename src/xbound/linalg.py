@@ -89,7 +89,9 @@ def validate_density(
 
     Raises NonFinite for a NaN or infinite entry, and NotHermitian /
     TraceNotOne / NotPositive naming the violated invariant together with the
-    measured residual.
+    measured residual.  Positivity means a minimum eigenvalue >= -tol.psd; a
+    Cholesky factorization settles it, and the eigenvalues are computed only
+    when it fails.
     """
     m = np.asarray(m, dtype=complex)
     d = dimA * dimB
@@ -97,19 +99,30 @@ def validate_density(
         raise WrongDimensions(
             f"expected a {d}x{d} matrix for dims ({dimA},{dimB}), got {m.shape}"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains non-finite entries")
-    herm_resid = np.abs(m - m.conj().T).max()
+    mh = m.conj().T
+    herm_resid = np.abs(m - mh).max()
     if herm_resid > tol.herm:
         raise NotHermitian(f"Hermiticity residual {herm_resid:.3e} > {tol.herm:.1e}")
-    tr_resid = abs(np.trace(m) - 1.0)
+    tr_resid = abs(m.trace() - 1.0)
     if tr_resid > tol.trace:
         raise TraceNotOne(f"trace deviates from 1 by {tr_resid:.3e} > {tol.trace:.1e}")
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if evals.min() < -tol.psd:
-        raise NotPositive(
-            f"minimum eigenvalue {evals.min():.3e} < -{tol.psd:.1e}"
-        )
+    h = (m + mh) / 2
+    # h + s·I has a Cholesky factor iff lambda_min(h) > -s.  With s = psd/2
+    # the other half of the tolerance covers the rounding of the factorization
+    # and of eigvalsh (of order d·eps·|h|, 1e-14 at d = 64), so every state
+    # accepted here has an eigvalsh minimum >= -psd; the rest, and every
+    # state near the boundary, are decided by that eigenvalue.
+    try:
+        np.linalg.cholesky(h + tol.psd / 2 * np.eye(d))
+    except np.linalg.LinAlgError:
+        try:
+            lam = np.linalg.eigvalsh(h).min()
+        except np.linalg.LinAlgError as exc:  # h overflowed to inf
+            raise NotPositive(f"eigenvalues not computable: {exc}") from exc
+        if not lam >= -tol.psd:  # a NaN minimum is rejected too
+            raise NotPositive(f"minimum eigenvalue {lam:.3e} < -{tol.psd:.1e}")
     return DensityMatrix(dimA=dimA, dimB=dimB, mat=m)
 
 

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import xbound
 from xbound import (
     DensityMatrix,
     InvariantViolation,
@@ -145,14 +154,113 @@ class TestBound:
         {"dimA": 2, "dimB": 2, "re": [["x", 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
         {"dimA": 2, "dimB": 2, "re": [[1, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
         {"dimA": 2.5, "dimB": 2, "re": [[1] + [0] * 3] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
-    ], ids=["non-numeric-re", "ragged-rows", "non-integer-dimA"])
+        # Each of the next five ended in a traceback with exit 1.
+        "[" * 100_000,
+        '{"dimA": 2, "dimB": 2, "re": %s, "im": [[0]]}' % ("[" * 5000 + "]" * 5000),
+        '{"dimA": 1, "dimB": 1, "re": [[%d]], "im": [[0]]}' % 10**400,
+        '{"dimA": 1, "dimB": 1, "re": [[%s]], "im": [[0]]}' % ("1" * 5001),
+        {"dimA": 2, "dimB": 2, "im": [[0.0] * 4] * 4,
+         "re": [[1e308, 0, 0, 0], [0, -1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]},
+    ], ids=["non-numeric-re", "ragged-rows", "non-integer-dimA", "deep-unclosed", "deep-re",
+            "int-overflows-float", "int-digit-limit", "hermitian-part-overflows"])
     def test_malformed_entries(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code = main(["bound", str(path)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
+
+    def test_deep_document_does_not_crash(self, tmp_path):
+        # orjson 3.8 overflows the C stack on a document a million levels
+        # deep; run in a child process so that a crash cannot take the test
+        # run with it.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1_000_000 + "]" * 1_000_000)
+        src = str(Path(xbound.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "xbound.cli", "bound", str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: StateValidationError: not valid JSON:")
+
+
+# Arbitrary JSON values, with NaN and infinities (json.dumps writes them as
+# tokens) and integers far outside the float range.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+    | st.integers(min_value=-10**400, max_value=10**400),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+small_dims = st.integers(2, 3)
+
+
+@st.composite
+def matrices(draw, dims):
+    """re/im of a square matrix of dims' size: a state, or a perturbed one."""
+    if all(type(x) is int and 0 < x < 4 for x in dims):
+        d = dims[0] * dims[1]
+    else:
+        d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((d, draw(st.integers(1, d)), 2)) @ [1, 1j]
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    if draw(st.booleans()):
+        m[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] += draw(
+            st.floats(-1e-7, 1e-7) | st.floats() | st.complex_numbers())
+    return m.real.tolist(), m.imag.tolist()
+
+
+@st.composite
+def state_documents(draw) -> bytes:
+    dims = tuple(draw(json_values if draw(st.integers(0, 4)) == 4 else small_dims)
+                 for _ in range(2))
+    re, im = draw(matrices(dims))
+    doc = {"dimA": dims[0], "dimB": dims[1], "re": re, "im": im}
+    for key in ("dimA", "dimB", "re", "im"):
+        choice = draw(st.sampled_from(["keep"] * 6 + ["replace", "drop"]))
+        if choice == "replace":
+            doc[key] = draw(json_values)
+        elif choice == "drop":
+            del doc[key]
+    text = json.dumps(doc).encode()
+    if draw(st.integers(0, 3)) == 3:  # cut or splice the text
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.binary(max_size=8)) + text[i + draw(st.integers(0, 8)):]
+    return text
+
+
+def _state_text(diag, entry=None) -> bytes:
+    """A diagonal 2x2 state file, with one literal in place of re[1][2]."""
+    re = [[json.dumps(diag[i] if i == j else 0.0) for j in range(4)] for i in range(4)]
+    if entry is not None:
+        re[1][2] = entry
+    return ('{"dimA": 2, "dimB": 2, "re": [%s], "im": %s}' % (
+        ", ".join("[%s]" % ", ".join(r) for r in re), json.dumps([[0.0] * 4] * 4))).encode()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=state_documents() | st.binary(max_size=64) | json_values.map(
+    lambda v: json.dumps(v).encode()))
+@example(text=json.dumps({"dimA": 2, "dimB": 2, "re": [[0.5, 0, 0, 0.5], [0] * 4, [0] * 4,
+                                                      [0.5, 0, 0, 0.5]],
+                          "im": [[0] * 4] * 4}).encode())
+@example(text=_state_text([0.25] * 4))
+@example(text=_state_text([0.5, 0.5, 0.5, -0.5]))
+@example(text=_state_text([0.25] * 4, "NaN"))
+@example(text=_state_text([0.25] * 4, "-1e400"))
+@example(text=_state_text([0.25] * 4, str(10**400)))
+def test_bound_exit_code_contract(tmp_path_factory, text):
+    # Every input ends in exit 0, 1 or 2, never in an exception.
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["bound", str(path)])
+    assert code in (0, 1, 2)
 
 
 class TestCertify:

@@ -20,6 +20,7 @@ from xbound import (
     validate_density,
 )
 from xbound import errors, linalg
+from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.oracle import _FUZZ_CHUNK
 from xbound.reference_states import bell_phi_plus
 
@@ -70,6 +71,56 @@ class TestValidateDensity:
         for seed in range(1000):
             q = sample_random_density(2, 2, seed % 4 + 1, seed)
             validate_density(q.mat, 2, 2)
+
+
+def state_with_min_eigenvalue(d: int, lam: float, seed: int) -> np.ndarray:
+    """Unit-trace Hermitian matrix, eigenvalues lam and d - 1 positive ones, in a Haar basis."""
+    rest = np.random.default_rng(seed).uniform(0.5, 1.5, d - 1)
+    evals = np.concatenate([[lam], rest * (1.0 - lam) / rest.sum()])
+    u = sample_haar_unitary(d, seed)
+    m = (u * evals) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestPositivityBoundary:
+    """The Cholesky test accepts exactly what min(eigvalsh) >= -psd accepts."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (8, 8)], ids=["d4", "d64"])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances.uniform(1e-3)],
+                             ids=["default", "uniform-1e-3"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_boundary(self, dims, tol, seed):
+        d = dims[0] * dims[1]
+        inside = state_with_min_eigenvalue(d, -tol.psd * (1 - 1e-6), seed)
+        outside = state_with_min_eigenvalue(d, -tol.psd * (1 + 1e-6), seed)
+        for m, lam in ((inside, -tol.psd * (1 - 1e-6)), (outside, -tol.psd * (1 + 1e-6))):
+            # the construction's rounding is far inside the 1e-6 margin
+            assert abs(np.linalg.eigvalsh(m).min() - lam) < 1e-7 * tol.psd
+        validate_density(inside, *dims, tol)
+        lam_min = np.linalg.eigvalsh(outside).min()
+        with pytest.raises(NotPositive, match=f"^minimum eigenvalue {lam_min:.3e} < -"):
+            validate_density(outside, *dims, tol)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4), (8, 8)])
+    def test_agrees_with_eigenvalue_rule(self, dims):
+        d = dims[0] * dims[1]
+        for seed in range(40):
+            m = state_with_min_eigenvalue(d, -DEFAULT_TOL.psd * seed / 20, seed)
+            if np.linalg.eigvalsh(m).min() >= -DEFAULT_TOL.psd:
+                validate_density(m, *dims)
+            else:
+                with pytest.raises(NotPositive):
+                    validate_density(m, *dims)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (8, 8)])
+    def test_valid_states_skip_eigenvalues(self, dims, monkeypatch):
+        def no_eigvalsh(h):
+            raise AssertionError("eigvalsh called on a valid state")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        d = dims[0] * dims[1]
+        for seed, rank in enumerate([1, 2, d]):
+            validate_density(sample_random_density(*dims, rank, seed).mat, *dims)
+        validate_density(state_with_min_eigenvalue(d, -0.4 * DEFAULT_TOL.psd, 0), *dims)
 
 
 class TestPureState:
