@@ -23,6 +23,7 @@ from .linalg import DensityMatrix, PureState
 # not signal (on pure product states, whose margin is 0, it reaches about 3).
 _ROUNDOFF_ULPS = 16
 _EPS = float(np.finfo(float).eps)
+_MINOR_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,22 @@ def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int, smoothing: float
         g = cols[0] * cols[3] - cols[1] * cols[2]
         sq = 4.0 * (g.real**2 + g.imag**2)
     else:
-        m = cols.shape[1]
-        mats = cols.reshape(dimA, dimB, m)
-        gram = np.einsum("abm,cbm->acm", mats, mats.conj())
-        tr = np.einsum("aam->m", gram).real
-        tr2 = np.einsum("acm,cam->m", gram, gram).real
-        sq = np.clip(2.0 * (tr * tr - tr2), 0.0, None)
+        # One dimA x dimB amplitude matrix per column; gram is its reduced
+        # state, Hermitian, so Tr[gram^2] is the sum of |gram|^2.
+        mats = cols.T.reshape(-1, dimA, dimB)
+        gram = mats @ mats.conj().transpose(0, 2, 1)
+        tr = gram.trace(axis1=1, axis2=2).real
+        tr2 = np.square(gram.view(float)).sum(axis=(1, 2))
+        sq = np.maximum(2.0 * (tr * tr - tr2), 0.0)
     conc = np.sqrt(sq + smoothing * smoothing)
     if not grad:
         return conc
     if two_qubit:
-        num = 4.0 * g * np.stack([cols[3], -cols[2], -cols[1], cols[0]]).conj()
+        # d(ad - bc) by a, b, c, d is (d, -c, -b, a): the rows reversed, signed.
+        num = g * (cols[::-1] * _MINOR_SIGNS).conj()
     else:
-        num = 4.0 * (tr * mats - np.einsum("acm,cbm->abm", gram, mats))
-        num = num.reshape(dimA * dimB, m)
-    return conc, num * np.divide(1.0, conc, out=np.zeros_like(conc), where=conc > 0.0)
+        num = (tr[:, None, None] * mats - gram @ mats).reshape(-1, dimA * dimB).T
+    return conc, num * np.divide(4.0, conc, out=np.zeros_like(conc), where=conc > 0.0)
 
 
 def i_concurrence_pure(psi: PureState) -> float:

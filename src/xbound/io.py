@@ -81,7 +81,10 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
         raise StateValidationError(
             f"re/im shapes differ: {re.shape} vs {im.shape}"
         )
-    return validate_density(re + 1j * im, dimA, dimB, tol)
+    # An infinite part makes a NaN here, which validate_density rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = re + 1j * im
+    return validate_density(mat, dimA, dimB, tol)
 
 
 def save_density(q: DensityMatrix, path: str | Path) -> None:

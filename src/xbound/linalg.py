@@ -108,7 +108,9 @@ def validate_density(
     tr_resid = abs(m.trace() - 1.0)
     if tr_resid > tol.trace:
         raise TraceNotOne(f"trace deviates from 1 by {tr_resid:.3e} > {tol.trace:.1e}")
-    h = (m + mh) / 2
+    # Entries near the float limit overflow here; the tests below reject them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (m + mh) / 2
     # h + s·I has a Cholesky factor iff lambda_min(h) > -s.  With s = psd/2
     # the other half of the tolerance covers the rounding of the factorization
     # and of eigvalsh (of order d·eps·|h|, 1e-14 at d = 64), so every state

@@ -10,6 +10,7 @@ each X witness's margin.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -17,6 +18,7 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from .errors import InvalidRank, InvariantViolation, OutOfRange
@@ -68,16 +70,29 @@ class RoofResult:
     improved: bool  # False: no restart beat the plain eigendecomposition average
 
 
+@functools.cache
+def _strict_lower(r: int) -> np.ndarray:
+    """Read-only mask of the strictly lower triangle of an r x r matrix."""
+    mask = np.tri(r, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _isometry(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR factorization z = QR with R's (real) diagonal made non-negative.
 
-    numpy's Householder QR flips the sign of a column of Q between z = I and
-    any z perturbed below the diagonal; fixing the sign makes Q smooth in z,
-    so the objective has no kink at the identity start.
+    Householder QR (LAPACK's zgeqrf, whose R has a real diagonal) flips the
+    sign of a column of Q between z = I and any z perturbed below the
+    diagonal; fixing the sign makes Q smooth in z, so the objective has no
+    kink at the identity start.
     """
-    iso, tri = np.linalg.qr(z)
-    sign = np.where(np.diag(tri).real < 0.0, -1.0, 1.0)
-    return iso * sign, tri * sign[:, None]
+    r = z.shape[1]
+    qr, tau, _, _ = lapack.zgeqrf(z)
+    iso, _, _ = lapack.zungqr(qr, tau)
+    sign = np.copysign(1.0, qr.diagonal().real)
+    tri = qr[:r] * sign[:, None]
+    tri[_strict_lower(r)] = 0.0
+    return iso * sign, tri
 
 
 def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
@@ -90,15 +105,26 @@ def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
     back-propagated through the QR factorization, whose R has a real
     diagonal.  smoothing is passed to _column_concurrence.
     """
-    z = (params[: m * r] + 1j * params[m * r :]).reshape(m, r)
+    n = m * r
+    z = np.empty((m, r), dtype=complex)
+    z.real = params[:n].reshape(m, r)
+    z.imag = params[n:].reshape(m, r)
     iso, tri = _isometry(z)  # m x r, iso^dag iso = I
     cols = w @ iso.T  # D x m; sum_j col col^dag reproduces the state
     conc, gcols = _column_concurrence(cols, dimA, dimB, smoothing, grad=True)
     g_iso = (w.conj().T @ gcols).T
-    b = iso.conj().T @ g_iso
-    k = np.tril(b - b.conj().T, -1) + 1j * np.diag(np.diag(b).imag)
-    g_z = np.linalg.solve(tri, (g_iso - iso @ b + iso @ k).conj().T).conj().T
-    return float(conc.sum()), np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
+    # With b = iso^dag g_iso, the gradient in z is (g_iso - iso h) R^-dag,
+    # h the Hermitian matrix with b's upper triangle and real diagonal.
+    h = iso.conj().T @ g_iso
+    np.copyto(h, h.conj().T, where=_strict_lower(r))
+    h.imag.flat[:: r + 1] = 0.0
+    g_zh, info = lapack.ztrtrs(tri, (g_iso - iso @ h).conj().T)
+    if info:
+        raise np.linalg.LinAlgError(f"singular R in the isometry (ztrtrs info {info})")
+    grad = np.empty(2 * n)
+    grad[:n].reshape(m, r)[...] = g_zh.real.T
+    np.negative(g_zh.imag.T, out=grad[n:].reshape(m, r))
+    return float(conc.sum()), grad
 
 
 def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> RoofResult:
@@ -110,6 +136,8 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     the objective is minimized by L-BFGS with its analytic gradient, from the
     eigendecomposition and then from seeded random starts.  cfg.tol is
     L-BFGS's ftol and gtol, and cfg.max_iters its maxiter in each stage.
+    The result is the end point of whichever stage, over all starts, has the
+    lowest exact (unsmoothed) average.
     """
     evals, vecs = np.linalg.eigh(q.mat)
     keep = evals > _RANK_TOL
@@ -166,8 +194,11 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
                 options={"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": cfg.tol},
             )
             x = res.x
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
+            # A later stage can end above an earlier one, so every stage's
+            # end point competes on its exact average.
+            value = res.fun if smoothing == 0.0 else objective(x)[0]
+            if value < best_val:
+                best_val, best_x = value, x
 
     improved = best_val < baseline - 1e-12
     z = (best_x[: m * r] + 1j * best_x[m * r :]).reshape(m, r)

@@ -29,6 +29,15 @@ from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.reference_states import bell_phi_plus, maximally_mixed
 
 
+def run_cli(*args):
+    """Run `python -m xbound.cli` with args in a child process."""
+    src = str(Path(xbound.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "xbound.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.fixture
 def bell_file(tmp_path):
     path = tmp_path / "bell.json"
@@ -177,13 +186,23 @@ class TestBound:
         # run with it.
         path = tmp_path / "deep.json"
         path.write_text("[" * 1_000_000 + "]" * 1_000_000)
-        src = str(Path(xbound.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "xbound.cli", "bound", str(path)],
-                              env=env, capture_output=True, text=True, timeout=300)
+        proc = run_cli("bound", str(path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: StateValidationError: not valid JSON:")
+
+    @pytest.mark.parametrize("re,im", [
+        ([[1e308, 0, 0, 0], [0, -1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], [[0.0] * 4] * 4),
+        ((np.eye(4) / 4).tolist(), [[0.0, math.inf, 0.0, 0.0]] + [[0.0] * 4] * 3),
+    ], ids=["hermitian-part-overflows", "infinite-imaginary-part"])
+    def test_overflow_prints_only_the_error(self, tmp_path, re, im):
+        # numpy's RuntimeWarnings about the overflow must not reach the
+        # user's stderr ahead of the error line.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"dimA": 2, "dimB": 2, "re": re, "im": im}))
+        proc = run_cli("bound", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
 
 
 # Arbitrary JSON values, with NaN and infinities (json.dumps writes them as

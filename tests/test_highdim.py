@@ -66,6 +66,15 @@ class TestIConcurrencePure:
             b = _iconc_from_minors(psi.amps, dA, dB)
             assert abs(a - b) < 1e-10
 
+    def test_columns_match_minor_form(self):
+        # Several subnormalized columns in one call, at 3x2 where the batched
+        # amplitude matrices are taller than wide; each value is p C(psi).
+        rng = np.random.default_rng(8)
+        cols = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        conc = _column_concurrence(cols, 3, 2)
+        for col, value in zip(cols.T, conc):
+            assert abs(value - _iconc_from_minors(col, 3, 2)) < 1e-10
+
     def test_range(self):
         for seed in range(100):
             dA, dB = 3, 4

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from xbound import (
     FuzzReport,
@@ -27,7 +28,13 @@ from xbound import (
     x_lower_bound,
 )
 from xbound import linalg, oracle
-from xbound.oracle import _FUZZ_CHUNK, _X_WITNESSES, _basis_margin, _ensemble_average
+from xbound.oracle import (
+    _FUZZ_CHUNK,
+    _X_WITNESSES,
+    _basis_margin,
+    _ensemble_average,
+    _isometry,
+)
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
@@ -38,7 +45,8 @@ from xbound.reference_states import (
 )
 
 FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
-ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8)]
+ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 2), 2, 4), ((3, 3), 3, 8),
+                       ((2, 4), 4, 8)]
 
 
 def central_difference(f, x, h=1e-6):
@@ -125,6 +133,51 @@ class TestConvexRoof:
             q = sample_random_density(2, 2, seed % 4 + 1, seed)
             res = convex_roof_upper(q, FAST_CFG)
             assert res.value >= generalized_lower_bound(q).bound - 1e-9
+
+    @pytest.mark.parametrize("m,r", [(4, 2), (4, 4), (8, 3), (32, 16)])
+    @pytest.mark.parametrize("start", ["random", "identity", "near-identity"])
+    def test_isometry(self, m, r, start):
+        rng = np.random.default_rng(m * r)
+        noise = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+        z = {"random": noise, "identity": np.eye(m, r),
+             "near-identity": np.eye(m, r) + 1e-9 * noise}[start]
+        iso, tri = _isometry(z)
+        assert np.abs(iso.conj().T @ iso - np.eye(r)).max() <= 1e-12
+        assert np.abs(iso @ tri - z).max() <= 1e-12
+        assert np.all(np.tril(tri, -1) == 0.0)
+        assert np.all(tri.diagonal().imag == 0.0) and np.all(tri.diagonal().real >= 0.0)
+        # numpy's QR with its column signs fixed the same way; Householder
+        # flips them between the identity and its neighbours.
+        q, t = np.linalg.qr(z)
+        assert np.abs(iso - q * np.where(np.diag(t).real < 0.0, -1.0, 1.0)).max() <= 1e-12
+        if start != "random":
+            assert np.abs(iso - np.eye(m, r)).max() <= 1e-8
+
+    def test_keeps_best_stage(self, monkeypatch):
+        # A final stage that ends above the 1e-6 stage must not replace its
+        # point, neither in the value nor in the witness.
+        q = sample_random_density(2, 2, 3, 5)
+        minimize = oracle.minimize
+        exact = {}
+
+        def worse_final_stage(fun, x0, args, **kwargs):
+            (smoothing,) = args
+            if smoothing == 0.0:
+                x = x0 + 0.3 * np.random.default_rng(1).standard_normal(x0.size)
+                res = OptimizeResult(x=x, fun=fun(x, 0.0)[0])
+            else:
+                res = minimize(fun, x0, args=args, **kwargs)
+            exact[smoothing] = fun(res.x, 0.0)[0]
+            return res
+        monkeypatch.setattr(oracle, "minimize", worse_final_stage)
+        res = convex_roof_upper(q, OptimizerConfig(restarts=1))
+        assert sorted(exact) == [0.0, 1e-6, 1e-3]
+        assert exact[0.0] > exact[1e-6] <= exact[1e-3]
+        assert res.value == exact[1e-6]
+        witness = res.witness
+        average = sum(p * pure_concurrence_2q(psi) for p, psi in zip(witness.weights,
+                                                                    witness.states))
+        assert average == pytest.approx(res.value, abs=1e-12)
 
     @pytest.mark.parametrize("dims,rank,m", ROOF_GRADIENT_CASES)
     def test_ensemble_average_gradient(self, dims, rank, m):
