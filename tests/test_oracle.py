@@ -45,7 +45,7 @@ from xbound.reference_states import (
 )
 
 FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
-ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 2), 2, 4), ((3, 3), 3, 8),
+ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8), ((3, 2), 2, 4),
                        ((2, 4), 4, 8)]
 
 
