@@ -206,6 +206,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large to hold
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

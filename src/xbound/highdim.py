@@ -4,9 +4,9 @@ For pure states of any bipartite dimension the concurrence is
 sqrt(2(1 - Tr[Q_A^2])), equivalently twice the root-sum-square of the 2x2
 minors of the amplitude matrix; _column_concurrence is the one kernel for it,
 shared by the two-qubit code and the convex-roof oracle.  For mixed states
-the coherence-vs-diagonal comparison 2(|Q_ik,jl| - sqrt(Q_il,il Q_jk,jk)),
-maximized over index pairs, is a lower bound on the convex-roof concurrence;
-_pair_terms is the one kernel for its terms.
+the pair margin 2(|Q_ik,jl| - sqrt(Q_il,il Q_jk,jk)), maximized over index
+pairs, is a lower bound on the convex-roof concurrence; _pair_terms is the one
+kernel for its terms, over any stack, and every margin in the package uses it.
 """
 from __future__ import annotations
 
@@ -110,22 +110,28 @@ def _iconc_from_minors(amps: np.ndarray, dimA: int, dimB: int) -> float:
     return 2.0 * math.sqrt(total)
 
 
-def _check_pair(q: DensityMatrix, p: PairIndex) -> None:
-    if not (0 <= p.i < p.j < q.dimA and 0 <= p.k < p.l < q.dimB):
-        raise IndexOutOfRange(
-            f"pair {p} out of range for dims ({q.dimA},{q.dimB}); need i<j and k<l"
-        )
+def _pair_grid(dimA: int, dimB: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (i, j, k, l) of every pair and orientation, for _pair_terms.
+
+    The A-pairs i < j are shaped (nA, 1, 1), each B-pair k < l and then its
+    mirror (1, nB, 2), both in lexicographic order.  At 2x2 the grid is the
+    two X witnesses, c1 (Q_14 against Q_22 Q_33) and then c2.
+    """
+    a = np.array(list(combinations(range(dimA), 2)), int).reshape(-1, 1, 1, 2)
+    b = np.array([(p, p[::-1]) for p in combinations(range(dimB), 2)], int).reshape(1, -1, 2, 2)
+    return a[..., 0], a[..., 1], b[..., 0], b[..., 1]
 
 
-def _pair_terms(q: DensityMatrix, i, j, k, l) -> tuple[np.ndarray, np.ndarray]:
+def _pair_terms(mat: np.ndarray, dimA: int, dimB: int,
+                i, j, k, l) -> tuple[np.ndarray, np.ndarray]:
     """The coherence |Q_ik,jl| and the diagonal root sqrt(Q_il,il Q_jk,jk).
 
-    Elementwise over index arrays that broadcast together; scalars give one
-    pair.  Swapping k and l gives the mirrored orientation.
+    Over a (..., D, D) stack and index arrays that broadcast together; swapping
+    k and l mirrors.  |coh| is by hypot: the same float alone or in a stack.
     """
-    t = q.mat.reshape(q.dimA, q.dimB, q.dimA, q.dimB)
-    d = np.diagonal(q.mat).real.reshape(q.dimA, q.dimB)
-    return np.abs(t[i, k, j, l]), np.sqrt(np.maximum(d[i, l] * d[j, k], 0.0))
+    c = mat.reshape(*mat.shape[:-2], dimA, dimB, dimA, dimB)[..., i, k, j, l]
+    d = np.diagonal(mat, axis1=-2, axis2=-1).real.reshape(*mat.shape[:-2], dimA, dimB)
+    return np.hypot(c.real, c.imag), np.sqrt(np.maximum(d[..., i, l] * d[..., j, k], 0.0))
 
 
 def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
@@ -134,17 +140,20 @@ def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
     With mirrored=True the roles of k and l swap: the (il),(jk) coherence is
     compared against the (ik),(jl) diagonals.
     """
-    _check_pair(q, p)
+    if not (0 <= p.i < p.j < q.dimA and 0 <= p.k < p.l < q.dimB):
+        raise IndexOutOfRange(
+            f"pair {p} out of range for dims ({q.dimA},{q.dimB}); need i<j and k<l"
+        )
     k, l = (p.l, p.k) if mirrored else (p.k, p.l)
-    coh, root = _pair_terms(q, p.i, p.j, k, l)
+    coh, root = _pair_terms(q.mat, q.dimA, q.dimB, p.i, p.j, k, l)
     return float(2.0 * (coh - root))
 
 
 def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     """Maximize the pair margin over all index pairs and both orientations.
 
-    One _pair_terms call evaluates every margin, laid out as (A-pair,
-    B-pair, mirrored) with the pairs in lexicographic order, so the first
+    One _pair_terms call evaluates every margin of _pair_grid, laid out as
+    (A-pair, B-pair, mirrored) in lexicographic order, so the first
     maximum is the lexicographic tie-break on (i, j, k, l, mirrored).  A best
     margin within roundoff of zero (_ROUNDOFF_ULPS units of the witness
     pair's |coherence| + sqrt(diagonal product)) gives bound 0: on a pure
@@ -152,10 +161,8 @@ def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     side, and a positive roundoff must not certify entanglement.  `value`
     keeps the raw signed margin.
     """
-    rows = np.array(list(combinations(range(q.dimA), 2)), dtype=int).reshape(-1, 1, 1, 2)
-    cols = np.array([((k, l), (l, k)) for k, l in combinations(range(q.dimB), 2)],
-                    dtype=int).reshape(1, -1, 2, 2)
-    coh, root = _pair_terms(q, rows[..., 0], rows[..., 1], cols[..., 0], cols[..., 1])
+    i, j, k, l = _pair_grid(q.dimA, q.dimB)
+    coh, root = _pair_terms(q.mat, q.dimA, q.dimB, i, j, k, l)
     margins = 2.0 * (coh - root)
     if margins.size == 0:
         raise IndexOutOfRange("dims too small: need dimA >= 2 and dimB >= 2")
@@ -163,10 +170,9 @@ def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     a, b, mirrored = (int(n) for n in best)
     value = float(margins[best])
     roundoff = _ROUNDOFF_ULPS * _EPS * (coh[best] + root[best])
-    (i, j), (k, l) = rows[a, 0, 0], cols[0, b, 0]
     return GeneralBoundReport(
         bound=value if value > roundoff else 0.0,
-        argmax_pair=PairIndex(int(i), int(j), int(k), int(l)),
+        argmax_pair=PairIndex(*map(int, (i[a, 0, 0], j[a, 0, 0], k[0, b, 0], l[0, b, 0]))),
         mirrored=bool(mirrored),
         value=value,
     )

@@ -81,9 +81,9 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
         raise StateValidationError(
             f"re/im shapes differ: {re.shape} vs {im.shape}"
         )
-    # An infinite part makes a NaN here, which validate_density rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = re + 1j * im
+    # Each part as it stands: a zero keeps its sign, a non-finite part is rejected.
+    mat = np.empty(re.shape, dtype=complex)
+    mat.real, mat.imag = re, im
     return validate_density(mat, dimA, dimB, tol)
 
 

@@ -101,16 +101,17 @@ def validate_density(
         )
     if not np.isfinite(m).all():
         raise NonFinite("matrix contains non-finite entries")
-    mh = m.conj().T
-    herm_resid = np.abs(m - mh).max()
+    # On m scaled down by a power of two above 2d (exact) no residual overflows,
+    # which numpy would warn of; Python floats scale it back up silently.
+    scale = 2.0 ** (2 * d).bit_length()
+    ms = m / scale
+    herm_resid = float(np.abs(ms - ms.conj().T).max()) * scale
     if herm_resid > tol.herm:
         raise NotHermitian(f"Hermiticity residual {herm_resid:.3e} > {tol.herm:.1e}")
-    tr_resid = abs(m.trace() - 1.0)
+    tr_resid = float(abs(ms.trace() - 1.0 / scale)) * scale
     if tr_resid > tol.trace:
         raise TraceNotOne(f"trace deviates from 1 by {tr_resid:.3e} > {tol.trace:.1e}")
-    # Entries near the float limit overflow here; the tests below reject them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = (m + mh) / 2
+    h = m / 2 + m.conj().T / 2  # cannot overflow; (m + mh) / 2 on normal entries
     # h + s·I has a Cholesky factor iff lambda_min(h) > -s.  With s = psd/2
     # the other half of the tolerance covers the rounding of the factorization
     # and of eigvalsh (of order d·eps·|h|, 1e-14 at d = 64), so every state
@@ -121,7 +122,7 @@ def validate_density(
     except np.linalg.LinAlgError:
         try:
             lam = np.linalg.eigvalsh(h).min()
-        except np.linalg.LinAlgError as exc:  # h overflowed to inf
+        except np.linalg.LinAlgError as exc:  # eigvalsh did not converge
             raise NotPositive(f"eigenvalues not computable: {exc}") from exc
         if not lam >= -tol.psd:  # a NaN minimum is rejected too
             raise NotPositive(f"minimum eigenvalue {lam:.3e} < -{tol.psd:.1e}")

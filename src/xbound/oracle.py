@@ -14,7 +14,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -22,9 +21,9 @@ from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from .errors import InvalidRank, InvariantViolation, OutOfRange
-from .highdim import _column_concurrence, generalized_lower_bound
+from .highdim import _column_concurrence, _pair_grid, _pair_terms, generalized_lower_bound
 from .linalg import DensityMatrix, PureState, _trial_densities, sample_random_density
-from .two_qubit import _margin, _warn_if_x_inconsistent, _wootters, wootters_concurrence
+from .two_qubit import _warn_if_x_inconsistent, _wootters, _x_margins, wootters_concurrence
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
@@ -34,10 +33,6 @@ _SMOOTHING = (1e-3, 1e-6, 0.0)
 # Two-qubit fuzz trials are evaluated this many at a time, so the stacked
 # buffers stay a few MB whatever the trial count.
 _FUZZ_CHUNK = 2048
-# The two X-part witnesses of a two-qubit state as flat indices (a, b, c, d):
-# the coherence at [a, b] against the diagonals [c, c] and [d, d], i.e. the
-# margins c1 and c2 of x_concurrence.
-_X_WITNESSES = ((0, 3, 1, 2), (1, 2, 0, 3))
 
 
 @dataclass(frozen=True)
@@ -326,8 +321,7 @@ def _fuzz_two_qubit(trials: int, seed: int, rank_cycle: list[int],
         ranks = cycle[np.arange(start, min(trials, start + _FUZZ_CHUNK)) % cycle.size]
         m = _trial_densities(2, 2, seed, start, ranks)
         _warn_if_x_inconsistent(m)
-        c1, c2 = (_margin(m[:, a, b], m[:, c, c].real, m[:, d, d].real)
-                  for a, b, c, d in _X_WITNESSES)
+        c1, c2 = _x_margins(m).T
         bound = np.maximum(np.maximum(0.0, c1), c2)
         reference = _wootters(m)
         # Rank-1 trials also check the signed pure-state inequality |c1| <= C.
@@ -379,28 +373,27 @@ _BASIS_TOL = 1e-12
 
 
 def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
-                  witness: tuple[int, int, int, int]) -> tuple[float, np.ndarray]:
-    """Negated margin 2(|coh| - sqrt(d1 d2)) of witness in a local basis, and its gradient.
+                  pair: tuple[int, int, int, int]) -> tuple[float, np.ndarray]:
+    """Negated margin of pair (i, j, k, l) (see _pair_terms) in a local basis, and its gradient.
 
     params holds the generators of uA = exp(iH_A) and uB = exp(iH_B) (dimA^2
     and dimB^2 real numbers, see _expi), and the margin is read from
-    rho' = U rho U^dag with U = uA (x) uB.  Where |coh| or d1 d2 is 0 that
-    term contributes gradient 0, as _column_concurrence does where its value
-    is 0.
+    rho' = U rho U^dag with U = uA (x) uB.  Where |coh| or root is 0 that term
+    contributes gradient 0, as _column_concurrence does where its value is 0.
     """
-    a, b, c, d = witness
+    i, j, k, l = pair
     uA, lamA, vA = _expi(params[: dimA * dimA], dimA)
     uB, lamB, vB = _expi(params[dimA * dimA :], dimB)
     u = np.kron(uA, uB)
     r = u @ rho @ u.conj().T
-    coh = abs(r[a, b])
-    d1, d2 = r[c, c].real, r[d, d].real
-    root = math.sqrt(max(d1 * d2, 0.0))
+    coh, root = _pair_terms(r, dimA, dimB, i, j, k, l)
+    rt = r.reshape(dimA, dimB, dimA, dimB)
     g = np.zeros_like(r)  # gradient of the margin in the entries of rho'
+    gt = g.reshape(dimA, dimB, dimA, dimB)
     if coh > 0.0:
-        g[a, b] = 2.0 * r[a, b] / coh
+        gt[i, k, j, l] = 2.0 * rt[i, k, j, l] / coh
     if root > 0.0:
-        g[c, c], g[d, d] = -d2 / root, -d1 / root
+        gt[i, l, i, l], gt[j, k, j, k] = -rt[j, k, j, k].real / root, -rt[i, l, i, l].real / root
     # Through rho' = U rho U^dag the gradient in U is (g + g^dag) U rho; its
     # factors for uA and uB contract it with the other unitary.
     gu = ((g + g.conj().T) @ u @ rho).reshape(dimA, dimB, dimA, dimB)
@@ -416,7 +409,7 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     uA = exp(iH_A) and uB = exp(iH_B) with Hermitian generators.  Each X
     witness's margin is maximized on its own by L-BFGS with its analytic
     gradient (_basis_margin), from the identity and then from seeded random
-    generators; the result is the best X bound over all of them.  The search
+    generators, each drawn in turn; the result is the best X bound.  The search
     stops once the bound reaches the exact concurrence, which no basis
     exceeds.  The identity start guarantees the result never falls below the
     bound in the original basis.
@@ -426,21 +419,22 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
 
     def rotated_bound(uA: np.ndarray, uB: np.ndarray) -> float:
         u = np.kron(uA, uB)
-        qc = u @ q.mat @ u.conj().T
-        return max(0.0, *(_margin(qc[a, b], qc[c, c].real, qc[d, d].real)
-                          for a, b, c, d in _X_WITNESSES))
+        return max(0.0, *_x_margins(u @ q.mat @ u.conj().T))
 
     best_uA, best_uB = np.eye(dimA, dtype=complex), np.eye(dimB, dtype=complex)
     orig = best_bound = rotated_bound(best_uA, best_uB)
     rng = np.random.default_rng(cfg.seed)
     n_par = dimA * dimA + dimB * dimB
-    starts = [np.zeros(n_par) if k == 0 else rng.standard_normal(n_par)
-              for k in range(cfg.restarts)]
-    for x0, witness in product(starts, _X_WITNESSES):
+    pairs = np.stack(np.broadcast_arrays(*_pair_grid(dimA, dimB)), axis=-1).reshape(-1, 4)
+    x0 = np.zeros(n_par)  # start 0 is the identity
+    for run in range(cfg.restarts * len(pairs)):
         if best_bound >= exact - 1e-10:
             break
+        start, w = divmod(run, len(pairs))
+        if start > 0 and w == 0:
+            x0 = rng.standard_normal(n_par)
         res = minimize(
-            _basis_margin, x0, args=(q.mat, dimA, dimB, witness), jac=True,
+            _basis_margin, x0, args=(q.mat, dimA, dimB, pairs[w]), jac=True,
             method="L-BFGS-B",
             options={"maxiter": cfg.max_iters, "ftol": _BASIS_TOL, "gtol": _BASIS_TOL},
         )

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation, OutOfRange, WrongDimensions
-from .highdim import _column_concurrence
+from .highdim import _column_concurrence, _pair_grid, _pair_terms
 from .linalg import DensityMatrix, PureState, clipped_sqrt
 
 _SY2 = np.array(
@@ -103,14 +103,10 @@ def _warn_if_x_inconsistent(m: np.ndarray, slack: float = 1e-8) -> None:
         warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
 
 
-def _margin(coh, d1, d2):
-    """Signed margin 2(|coh| - sqrt(d1 d2)), elementwise; the 2x2 twin of highdim._pair_terms.
-
-    |coh| is taken by hypot: numpy's vectorized complex abs can differ from
-    the scalar one in the last bit, and a margin must not depend on whether
-    it was computed alone or in a stack.
-    """
-    return 2.0 * (np.hypot(coh.real, coh.imag) - np.sqrt(np.maximum(d1 * d2, 0.0)))
+def _x_margins(m: np.ndarray) -> np.ndarray:
+    """Signed margins (c1, c2), shaped (..., 2), of a 4x4 matrix or a (..., 4, 4) stack."""
+    coh, root = _pair_terms(m, 2, 2, *_pair_grid(2, 2))
+    return (2.0 * (coh - root)).reshape(*m.shape[:-2], 2)
 
 
 def x_concurrence(x: XCore) -> BoundReport:
@@ -118,8 +114,7 @@ def x_concurrence(x: XCore) -> BoundReport:
 
     c1 and c2 are reported signed; only `bound` clips at zero.
     """
-    c1 = _margin(x.q14, x.d22, x.d33)
-    c2 = _margin(x.q23, x.d11, x.d44)
+    c1, c2 = (float(c) for c in _x_margins(x.as_matrix()))
     return BoundReport(c1=c1, c2=c2, bound=max(0.0, c1, c2))
 
 
@@ -176,5 +171,5 @@ def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport
     for name, v in (("d22", d22), ("d33", d33)):
         if not 0.0 <= v <= 1.0:
             raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
-    c1 = _margin(q14_abs, d22, d33)
+    c1 = x_concurrence(XCore(0.0, d22, d33, 0.0, q14_abs, 0.0)).c1
     return BoundReport(c1=c1, c2=None, bound=max(0.0, c1))

@@ -29,6 +29,16 @@ from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.reference_states import bell_phi_plus, maximally_mixed
 
 
+# (re, im) of 2x2 matrices whose finite entries near the float limit overflow
+# a naive check: in re - re^T, in the trace, and in the modulus of the
+# difference even after halving.
+HUGE_ENTRIES = [
+    ([[0.5, 1.7e308], [-1.7e308, 0.5]], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[1.7e308, 0.0], [0.0, 1.7e308]], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[0.5, 1.7e308], [-1.7e308, 0.5]], [[0.0, 1.7e308], [1.7e308, 0.0]]),
+]
+
+
 def run_cli(*args):
     """Run `python -m xbound.cli` with args in a child process."""
     src = str(Path(xbound.__file__).parents[1])
@@ -190,15 +200,18 @@ class TestBound:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: StateValidationError: not valid JSON:")
 
-    @pytest.mark.parametrize("re,im", [
-        ([[1e308, 0, 0, 0], [0, -1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], [[0.0] * 4] * 4),
-        ((np.eye(4) / 4).tolist(), [[0.0, math.inf, 0.0, 0.0]] + [[0.0] * 4] * 3),
-    ], ids=["hermitian-part-overflows", "infinite-imaginary-part"])
-    def test_overflow_prints_only_the_error(self, tmp_path, re, im):
+    @pytest.mark.parametrize("dims,re,im", [
+        ((2, 2), [[1e308, 0, 0, 0], [0, -1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+         [[0.0] * 4] * 4),
+        ((2, 2), (np.eye(4) / 4).tolist(), [[0.0, math.inf, 0.0, 0.0]] + [[0.0] * 4] * 3),
+        *(((1, 2), re, im) for re, im in HUGE_ENTRIES),
+    ], ids=["hermitian-part-overflows", "infinite-imaginary-part", "difference-overflows",
+            "trace-overflows", "modulus-overflows"])
+    def test_overflow_prints_only_the_error(self, tmp_path, dims, re, im):
         # numpy's RuntimeWarnings about the overflow must not reach the
         # user's stderr ahead of the error line.
         path = tmp_path / "overflow.json"
-        path.write_text(json.dumps({"dimA": 2, "dimB": 2, "re": re, "im": im}))
+        path.write_text(json.dumps({"dimA": dims[0], "dimB": dims[1], "re": re, "im": im}))
         proc = run_cli("bound", str(path))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
@@ -262,6 +275,12 @@ def _state_text(diag, entry=None) -> bytes:
         ", ".join("[%s]" % ", ".join(r) for r in re), json.dumps([[0.0] * 4] * 4))).encode()
 
 
+def _huge_text(n) -> bytes:
+    """The 1x2 state file of HUGE_ENTRIES[n]."""
+    re, im = HUGE_ENTRIES[n]
+    return json.dumps({"dimA": 1, "dimB": 2, "re": re, "im": im}).encode()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(text=state_documents() | st.binary(max_size=64) | json_values.map(
     lambda v: json.dumps(v).encode()))
@@ -273,6 +292,9 @@ def _state_text(diag, entry=None) -> bytes:
 @example(text=_state_text([0.25] * 4, "NaN"))
 @example(text=_state_text([0.25] * 4, "-1e400"))
 @example(text=_state_text([0.25] * 4, str(10**400)))
+@example(text=_huge_text(0))
+@example(text=_huge_text(1))
+@example(text=_huge_text(2))
 def test_bound_exit_code_contract(tmp_path_factory, text):
     # Every input ends in exit 0, 1 or 2, never in an exception.
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
@@ -343,6 +365,20 @@ class TestIsotropicSweep:
     def test_bad_params(self, capsys):
         assert main(["isotropic-sweep", "--d", "1", "--steps", "5",
                      "--out", "/tmp/x.csv"]) == 2
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # --d 100000 asks for a 10^10 x 10^10 matrix; the allocation failure
+        # is stood in for here, never made.
+        def no_memory(s):
+            raise MemoryError("Unable to allocate the state")
+        monkeypatch.setattr("xbound.cli.isotropic_matrix", no_memory)
+        out_csv = tmp_path / "sweep.csv"
+        code = main(["isotropic-sweep", "--d", "100000", "--steps", "2",
+                     "--out", str(out_csv)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: MemoryError: Unable to allocate the state\n"
+        assert not out_csv.exists()
 
 
 class TestFuzz:

@@ -18,7 +18,7 @@ from xbound import (
     validate_density,
     x_lower_bound,
 )
-from xbound.highdim import _column_concurrence, _iconc_from_minors
+from xbound.highdim import _column_concurrence, _iconc_from_minors, _pair_grid, _pair_terms
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
@@ -120,13 +120,40 @@ class TestPairBound:
             pair_bound(q, PairIndex(1, 0, 0, 1))
 
 
+class TestPairKernel:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_stack_matches_single_matrices_bitwise(self, dims):
+        dA, dB = dims
+        grid = _pair_grid(dA, dB)
+        mats = np.stack([sample_random_density(dA, dB, 1 + n % (dA * dB), [dA, dB, n]).mat
+                         for n in range(40)]).reshape(4, 10, dA * dB, dA * dB)
+        coh, root = _pair_terms(mats, dA, dB, *grid)
+        for idx in np.ndindex(4, 10):
+            one_coh, one_root = _pair_terms(mats[idx], dA, dB, *grid)
+            assert coh[idx].tobytes() == one_coh.tobytes()
+            assert root[idx].tobytes() == one_root.tobytes()
+
+    def test_2x2_grid_is_the_x_witnesses(self):
+        # (0,1,0,1) reads Q_14 against Q_22 Q_33 (c1); (0,1,1,0) reads Q_23
+        # against Q_11 Q_44 (c2).
+        pairs = np.stack(np.broadcast_arrays(*_pair_grid(2, 2)), axis=-1).reshape(-1, 4)
+        assert pairs.tolist() == [[0, 1, 0, 1], [0, 1, 1, 0]]
+        m = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        m[0, 3], m[1, 2] = 0.3 + 0.4j, 0.05
+        coh, root = _pair_terms(m, 2, 2, *_pair_grid(2, 2))
+        assert coh.ravel().tolist() == [0.5, 0.05]
+        assert root.ravel().tolist() == [math.sqrt(0.2 * 0.3), math.sqrt(0.1 * 0.4)]
+
+
 class TestGeneralizedLowerBound:
     def test_agrees_with_two_qubit_bound(self):
+        # One kernel serves both routes, so the best margin is the same float.
         for seed in range(1000):
             q = sample_random_density(2, 2, seed % 4 + 1, seed)
-            general = generalized_lower_bound(q).bound
-            two_qubit = x_lower_bound(q).bound
-            assert abs(general - two_qubit) < 1e-12
+            general = generalized_lower_bound(q)
+            two_qubit = x_lower_bound(q)
+            assert general.value == max(two_qubit.c1, two_qubit.c2)
+            assert abs(general.bound - two_qubit.bound) < 1e-12
 
     def test_c2_needs_mirrored_orientation(self):
         # A singlet-like state has its coherence at (1,2): only the mirrored

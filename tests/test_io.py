@@ -1,5 +1,6 @@
 """The state-file decoder: the matrix it hands to validation is the one that
-json.loads and np.asarray make of the same file, bit for bit."""
+json.loads and np.asarray make of the same file, each part as it stands, bit
+for bit."""
 import json
 
 import numpy as np
@@ -15,14 +16,14 @@ from xbound.reference_states import maximally_mixed
 # The shapes of the bound-nxn benchmark workload.
 SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4), (3, 5), (5, 5), (6, 6), (8, 8)]
 
-# re + 1j*im turns an infinite imaginary part into a NaN real part.
-pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-
 
 def stdlib_matrix(path) -> np.ndarray:
     with open(path) as fh:
         payload = json.loads(fh.read())
-    return np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
+    re = np.asarray(payload["re"], dtype=float)
+    mat = np.zeros(re.shape, dtype=complex)
+    mat.real, mat.imag = re, np.asarray(payload["im"], dtype=float)
+    return mat
 
 
 def decoded_matrix(path) -> np.ndarray:
@@ -103,3 +104,14 @@ def test_non_finite_tokens_rejected(tmp_path, token):
     assert not np.isfinite(decoded_matrix(path)[1, 2])
     with pytest.raises(NonFinite):
         load_density(path)
+
+
+def test_negative_zero_keeps_its_sign(tmp_path):
+    # re + 1j * im would turn a -0.0 real part with a non-negative imaginary
+    # part into +0.0.
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps({"dimA": 1, "dimB": 2, "re": [[0.5, -0.0], [-0.0, 0.5]],
+                                "im": [[0.0, 0.0], [-0.0, 0.0]]}))
+    mat = load_density(path).mat
+    assert np.signbit(mat.real).tolist() == [[False, True], [True, False]]
+    assert np.signbit(mat.imag).tolist() == [[False, False], [True, False]]

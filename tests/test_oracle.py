@@ -28,9 +28,9 @@ from xbound import (
     x_lower_bound,
 )
 from xbound import linalg, oracle
+from xbound.highdim import _pair_grid
 from xbound.oracle import (
     _FUZZ_CHUNK,
-    _X_WITNESSES,
     _basis_margin,
     _ensemble_average,
     _isometry,
@@ -45,6 +45,9 @@ from xbound.reference_states import (
 )
 
 FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
+# The two pairs (i, j, k, l) of the 2x2 pair grid: the witnesses of c1 and c2.
+X_PAIRS = [tuple(int(n) for n in p)
+           for p in np.stack(np.broadcast_arrays(*_pair_grid(2, 2)), axis=-1).reshape(-1, 4)]
 ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8), ((3, 2), 2, 4),
                        ((2, 4), 4, 8)]
 
@@ -350,7 +353,7 @@ class TestOptimizeBasis:
         assert res.best_bound == 0.0
         assert res.original_bound == 0.0
 
-    @pytest.mark.parametrize("witness", _X_WITNESSES)
+    @pytest.mark.parametrize("witness", X_PAIRS)
     def test_basis_margin_gradient(self, witness):
         for seed in range(4):
             q = sample_random_density(2, 2, seed + 1, 40 + seed)
@@ -360,6 +363,42 @@ class TestOptimizeBasis:
                 numeric = central_difference(
                     lambda y: _basis_margin(y, q.mat, 2, 2, witness)[0], x)
                 assert np.abs(grad - numeric).max() <= 1e-7
+
+    def test_basis_margin_at_identity_is_the_x_margin(self):
+        q = sample_random_density(2, 2, 3, 5)
+        rep = x_concurrence(x_decompose(q)[0])
+        margins = [-_basis_margin(np.zeros(8), q.mat, 2, 2, p)[0] for p in X_PAIRS]
+        assert margins == [rep.c1, rep.c2]
+
+    @pytest.mark.parametrize("unreachable,restarts,draws", [(False, 10**6, 0), (True, 3, 2)],
+                             ids=["stops-at-identity", "runs-every-start"])
+    def test_starts_drawn_when_run(self, monkeypatch, unreachable, restarts, draws):
+        # Each random start is drawn when its turn comes: a Bell state stops
+        # at the identity start and draws none, however many are allowed.
+        # With an exact value no basis reaches, every start runs and start
+        # 0, the identity, is the only one not drawn.
+        if unreachable:
+            monkeypatch.setattr(oracle, "wootters_concurrence", lambda q: 2.0)
+        q = sample_random_density(2, 2, 3, 9) if unreachable else projector(bell_phi_plus())
+        cfg = OptimizerConfig(restarts=restarts, seed=4)
+        expected = optimize_basis(q, cfg)
+        calls = []
+        real_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, size):
+                calls.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        res = optimize_basis(q, cfg)
+        assert len(calls) == draws
+        assert res.best_bound == expected.best_bound
+        assert res.uA.tobytes() == expected.uA.tobytes()
+        assert res.uB.tobytes() == expected.uB.tobytes()
 
     def test_pure_states_reach_concurrence(self):
         # A pure state's Schmidt form is an X state, so some local basis makes
