@@ -115,10 +115,12 @@ def _pair_grid(dimA: int, dimB: int) -> tuple[np.ndarray, ...]:
 
     The A-pairs i < j are shaped (nA, 1, 1), each B-pair k < l and then its
     mirror (1, nB, 2), both in lexicographic order.  At 2x2 the grid is the
-    two X witnesses, c1 (Q_14 against Q_22 Q_33) and then c2.
+    two X witnesses, c1 (Q_14 against Q_22 Q_33) and then c2.  The arrays are
+    read-only, so a grid can be built once and shared.
     """
     a = np.array(list(combinations(range(dimA), 2)), int).reshape(-1, 1, 1, 2)
     b = np.array([(p, p[::-1]) for p in combinations(range(dimB), 2)], int).reshape(1, -1, 2, 2)
+    a.flags.writeable = b.flags.writeable = False
     return a[..., 0], a[..., 1], b[..., 0], b[..., 1]
 
 
@@ -153,23 +155,28 @@ def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     """Maximize the pair margin over all index pairs and both orientations.
 
     One _pair_terms call evaluates every margin of _pair_grid, laid out as
-    (A-pair, B-pair, mirrored) in lexicographic order, so the first
-    maximum is the lexicographic tie-break on (i, j, k, l, mirrored).  A best
-    margin within roundoff of zero (_ROUNDOFF_ULPS units of the witness
-    pair's |coherence| + sqrt(diagonal product)) gives bound 0: on a pure
-    product state the margin is exactly 0 but evaluates to a few ulps either
-    side, and a positive roundoff must not certify entanglement.  `value`
-    keeps the raw signed margin.
+    (A-pair, B-pair, mirrored) in lexicographic order.  Roundoff here is
+    _ROUNDOFF_ULPS units of the maximal margin's |coherence| + sqrt(diagonal
+    product).  The reported pair and orientation are the lexicographically
+    first (i, j, k, l, mirrored) whose margin lies within roundoff of the
+    maximum; `value` is the maximum itself, the raw signed margin.  A maximum
+    within roundoff of zero gives bound 0: on a pure product state the margin
+    is exactly 0 but evaluates to a few ulps either side, and a positive
+    roundoff must not certify entanglement.
     """
     i, j, k, l = _pair_grid(q.dimA, q.dimB)
     coh, root = _pair_terms(q.mat, q.dimA, q.dimB, i, j, k, l)
     margins = 2.0 * (coh - root)
     if margins.size == 0:
         raise IndexOutOfRange("dims too small: need dimA >= 2 and dimB >= 2")
-    best = np.unravel_index(np.argmax(margins), margins.shape)
+    top = np.argmax(margins)
+    value = float(margins.flat[top])
+    roundoff = _ROUNDOFF_ULPS * _EPS * (coh.flat[top] + root.flat[top])
+    # The witness is the first margin within roundoff of the maximum, so
+    # margins that are mathematically equal (the plain and mirrored margins
+    # of a product state) are not told apart by their last bits.
+    best = np.unravel_index(np.argmax(margins >= value - roundoff), margins.shape)
     a, b, mirrored = (int(n) for n in best)
-    value = float(margins[best])
-    roundoff = _ROUNDOFF_ULPS * _EPS * (coh[best] + root[best])
     return GeneralBoundReport(
         bound=value if value > roundoff else 0.0,
         argmax_pair=PairIndex(*map(int, (i[a, 0, 0], j[a, 0, 0], k[0, b, 0], l[0, b, 0]))),

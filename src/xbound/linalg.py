@@ -308,6 +308,12 @@ def sample_haar_unitary(dim: int, seed) -> np.ndarray:
     return q * ph
 
 
+def _local_product(uA: np.ndarray, uB: np.ndarray) -> np.ndarray:
+    """uA (x) uB: each entry the one product np.kron forms, without its overhead."""
+    dA, dB = len(uA), len(uB)
+    return (uA[:, None, :, None] * uB[None, :, None, :]).reshape(dA * dB, dA * dB)
+
+
 def conjugate_by_local_unitary(
     q: DensityMatrix, uA: np.ndarray, uB: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> DensityMatrix:
@@ -320,7 +326,7 @@ def conjugate_by_local_unitary(
         resid = np.abs(u.conj().T @ u - np.eye(d)).max()
         if resid > tol.unitary:
             raise NotUnitary(f"{name} unitarity residual {resid:.3e} > {tol.unitary:.1e}")
-    u = np.kron(uA, uB)
+    u = _local_product(uA, uB)
     return DensityMatrix(dimA=q.dimA, dimB=q.dimB, mat=u @ q.mat @ u.conj().T)
 
 

@@ -6,7 +6,8 @@ upper bound on the true concurrence.
 fuzz_inequality hammers the lower bound against that reference (or against the
 exact two-qubit value).  optimize_basis searches local unitaries exp(iH) for
 the basis that maximizes the X bound, by L-BFGS on the analytic gradient of
-each X witness's margin.
+each X witness's margin.  Both searches run through minimize, which drives
+scipy's L-BFGS-B core directly.
 """
 from __future__ import annotations
 
@@ -14,15 +15,17 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .errors import InvalidRank, InvariantViolation, OutOfRange
-from .highdim import _column_concurrence, _pair_grid, _pair_terms, generalized_lower_bound
-from .linalg import DensityMatrix, PureState, _trial_densities, sample_random_density
+from .highdim import (_EPS, _column_concurrence, _pair_grid, _pair_terms,
+                      generalized_lower_bound)
+from .linalg import (DensityMatrix, PureState, _local_product, _trial_densities,
+                     sample_random_density)
 from .two_qubit import _warn_if_x_inconsistent, _wootters, _x_margins, wootters_concurrence
 
 _RANK_TOL = 1e-12
@@ -33,6 +36,65 @@ _SMOOTHING = (1e-3, 1e-6, 0.0)
 # Two-qubit fuzz trials are evaluated this many at a time, so the stacked
 # buffers stay a few MB whatever the trial count.
 _FUZZ_CHUNK = 2048
+# scipy's L-BFGS-B settings: stored corrections, line-search steps per
+# iteration and the evaluation budget (its maxcor, maxls and maxfun).
+_LBFGS_MEMORY = 10
+_LBFGS_MAX_LINE_SEARCH = 20
+_LBFGS_MAX_FEV = 15000
+
+
+class MinimizeResult(NamedTuple):
+    """End point of minimize: x, the objective there, evaluations and iterations."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+
+
+def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, ftol: float,
+             gtol: float) -> MinimizeResult:
+    """Minimize fun(x, *args) -> (value, gradient) by unbounded L-BFGS-B from x0.
+
+    The loop drives scipy's L-BFGS-B core (Byrd, Lu, Nocedal & Zhu, SIAM J.
+    Sci. Comput. 16, 1190 (1995)) the way scipy.optimize.minimize(jac=True,
+    method="L-BFGS-B") does, with the same memory, line search, stopping
+    rules and evaluation cache, so the iterates, value, nfev and nit are
+    bitwise the same; what it leaves out is the wrapper's per-evaluation
+    bookkeeping.  The core writes x in place; fun must not keep it.
+    """
+    x = np.array(x0, dtype=float)
+    n = x.size
+    m = _LBFGS_MEMORY
+    no_bound = np.zeros(n)
+    nbd = np.zeros(n, np.int32)  # 0: no bound on any variable
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / _EPS
+    f, g = 0.0, np.zeros(n)
+    # Like scipy's ScalarFunction, a request at the last evaluated point is
+    # answered from it; NaN compares unequal, so the first request evaluates.
+    x_fun = np.full(n, np.nan)
+    nfev = nit = 0
+    while True:
+        setulb(m, x, no_bound, no_bound, nbd, f, g, factr, gtol, wa, iwa, task,
+               lsave, isave, dsave, _LBFGS_MAX_LINE_SEARCH, ln_task)
+        if task[0] == 3:  # FG: the core wants the value and gradient at x
+            if not (x == x_fun).all():
+                f, g_fun = fun(x, *args)
+                x_fun = x.copy()
+                nfev += 1
+            g = np.array(g_fun, dtype=float)  # the core may write into g
+        elif task[0] == 1:  # NEW_X: an iteration is complete
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > _LBFGS_MAX_FEV:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:  # converged, stopped, or the line search failed
+            return MinimizeResult(x, f, nfev, nit)
 
 
 @dataclass(frozen=True)
@@ -184,10 +246,8 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
             break
         x = x_eye if k == 0 else rng.standard_normal(n_par)
         for smoothing in _SMOOTHING:
-            res = minimize(
-                objective, x, args=(smoothing,), jac=True, method="L-BFGS-B",
-                options={"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": cfg.tol},
-            )
+            res = minimize(objective, x, args=(smoothing,), maxiter=cfg.max_iters,
+                           ftol=cfg.tol, gtol=cfg.tol)
             x = res.x
             # A later stage can end above an earlier one, so every stage's
             # end point competes on its exact average.
@@ -384,7 +444,7 @@ def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
     i, j, k, l = pair
     uA, lamA, vA = _expi(params[: dimA * dimA], dimA)
     uB, lamB, vB = _expi(params[dimA * dimA :], dimB)
-    u = np.kron(uA, uB)
+    u = _local_product(uA, uB)
     r = u @ rho @ u.conj().T
     coh, root = _pair_terms(r, dimA, dimB, i, j, k, l)
     rt = r.reshape(dimA, dimB, dimA, dimB)
@@ -418,7 +478,7 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     dimA, dimB = q.dimA, q.dimB
 
     def rotated_bound(uA: np.ndarray, uB: np.ndarray) -> float:
-        u = np.kron(uA, uB)
+        u = _local_product(uA, uB)
         return max(0.0, *_x_margins(u @ q.mat @ u.conj().T))
 
     best_uA, best_uB = np.eye(dimA, dtype=complex), np.eye(dimB, dtype=complex)
@@ -433,11 +493,8 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
         start, w = divmod(run, len(pairs))
         if start > 0 and w == 0:
             x0 = rng.standard_normal(n_par)
-        res = minimize(
-            _basis_margin, x0, args=(q.mat, dimA, dimB, pairs[w]), jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_iters, "ftol": _BASIS_TOL, "gtol": _BASIS_TOL},
-        )
+        res = minimize(_basis_margin, x0, args=(q.mat, dimA, dimB, pairs[w]),
+                       maxiter=cfg.max_iters, ftol=_BASIS_TOL, gtol=_BASIS_TOL)
         uA, uB = _expi(res.x[: dimA * dimA], dimA)[0], _expi(res.x[dimA * dimA :], dimB)[0]
         value = rotated_bound(uA, uB)
         if value > best_bound:

@@ -103,9 +103,13 @@ def _warn_if_x_inconsistent(m: np.ndarray, slack: float = 1e-8) -> None:
         warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
 
 
+# The pair grid of the two X witnesses (c1, c2), built once.
+_X_GRID = _pair_grid(2, 2)
+
+
 def _x_margins(m: np.ndarray) -> np.ndarray:
     """Signed margins (c1, c2), shaped (..., 2), of a 4x4 matrix or a (..., 4, 4) stack."""
-    coh, root = _pair_terms(m, 2, 2, *_pair_grid(2, 2))
+    coh, root = _pair_terms(m, 2, 2, *_X_GRID)
     return (2.0 * (coh - root)).reshape(*m.shape[:-2], 2)
 
 

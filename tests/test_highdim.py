@@ -193,6 +193,21 @@ class TestGeneralizedLowerBound:
         assert rep.value == pytest.approx(2.0 * (0.1 - 1.0 / 6.0), abs=1e-15)
         assert (p.i, p.j, p.k, p.l, rep.mirrored) == (0, 1, 0, 1, True)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+    def test_product_states_report_plain_orientation(self, dims):
+        # On rho_A (x) rho_B each pair's plain and mirrored margins are equal
+        # but for roundoff, so the first orientation is reported, not the one
+        # whose last bit happens to be larger.
+        dA, dB = dims
+        for n in range(20):
+            rng = np.random.default_rng([dA, dB, n])
+            local = []
+            for d in dims:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                local.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            rep = generalized_lower_bound(validate_density(np.kron(*local), dA, dB))
+            assert not rep.mirrored
+
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 4), (3, 5), (5, 5)])
     def test_matches_flat_index_reference(self, dims):
         dA, dB = dims

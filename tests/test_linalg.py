@@ -270,6 +270,13 @@ class TestLocalUnitaryConjugation:
             assert abs(np.trace(out.mat) - 1.0) < 1e-10
             assert np.abs(out.mat - out.mat.conj().T).max() < 1e-10
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 3)])
+    def test_local_product_is_kron_bitwise(self, dims):
+        dA, dB = dims
+        for seed in range(10):
+            uA, uB = sample_haar_unitary(dA, 2 * seed), sample_haar_unitary(dB, 2 * seed + 1)
+            assert linalg._local_product(uA, uB).tobytes() == np.kron(uA, uB).tobytes()
+
     def test_non_unitary_rejected(self):
         q = sample_random_density(2, 2, 2, 0)
         with pytest.raises(NotUnitary):

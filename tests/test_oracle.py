@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, minimize as scipy_minimize
 
 from xbound import (
     FuzzReport,
@@ -242,6 +242,53 @@ class TestConvexRoof:
         res = convex_roof_upper(q, OptimizerConfig(restarts=1, max_iters=150))
         assert res.value >= generalized_lower_bound(q).bound - 1e-9
         assert res.witness.reconstruction_residual(q) <= 1e-8
+
+
+class TestMinimize:
+    """oracle.minimize drives scipy's L-BFGS-B core; scipy's own wrapper is the reference."""
+
+    @staticmethod
+    def assert_matches_scipy(fun, x0, args, **options):
+        ours = oracle.minimize(fun, x0, args=args, **options)
+        ref = scipy_minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", options=options)
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+        return ours
+
+    @pytest.mark.parametrize("smoothing", oracle._SMOOTHING)
+    @pytest.mark.parametrize("dims,rank,m", ROOF_GRADIENT_CASES)
+    def test_roof_objective_matches_scipy(self, dims, rank, m, smoothing):
+        dA, dB = dims
+        w = eigen_weights(sample_random_density(dA, dB, rank, 31), rank)
+        x0 = np.random.default_rng(33).standard_normal(2 * m * rank)
+        self.assert_matches_scipy(_ensemble_average, x0, (w, m, rank, dA, dB, smoothing),
+                                  maxiter=150, ftol=1e-8, gtol=1e-8)
+
+    def test_repeated_point_is_not_evaluated_again(self):
+        # In this run the core asks twice in a row for the value at one
+        # point; scipy answers the second request from its last evaluation,
+        # and minimize must too, or its nfev runs one ahead.
+        w = eigen_weights(sample_random_density(2, 2, 4, 101), 4)
+        x0 = np.random.default_rng(1).standard_normal(32)
+        self.assert_matches_scipy(_ensemble_average, x0, (w, 4, 4, 2, 2, 1e-3),
+                                  maxiter=150, ftol=1e-8, gtol=1e-8)
+
+    @pytest.mark.parametrize("pair", X_PAIRS)
+    def test_basis_margin_matches_scipy(self, pair):
+        rotated = conjugate_by_local_unitary(
+            projector(bell_phi_plus()), sample_haar_unitary(2, 21), sample_haar_unitary(2, 22)
+        )
+        for x0 in (np.zeros(8), np.random.default_rng(3).standard_normal(8)):
+            self.assert_matches_scipy(_basis_margin, x0, (rotated.mat, 2, 2, pair),
+                                      maxiter=2000, ftol=1e-12, gtol=1e-12)
+
+    def test_stops_at_maxiter(self):
+        w = eigen_weights(sample_random_density(3, 3, 3, 31), 3)
+        x0 = np.random.default_rng(33).standard_normal(48)
+        res = self.assert_matches_scipy(_ensemble_average, x0, (w, 8, 3, 3, 3, 0.0),
+                                        maxiter=5, ftol=1e-8, gtol=1e-8)
+        assert res.nit == 5
 
 
 class TestFuzz:
