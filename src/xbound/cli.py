@@ -4,7 +4,7 @@ Exit codes are a stable contract:
   0  entanglement certified (bound > 0)
   1  inconclusive (bound == 0)
   2  input error (malformed file, bad flags, wrong dimensions)
-  3  invariant violation (fuzz harness found a counterexample: a bug)
+  3  invariant violation (a bug: a fuzz counterexample, or a bound above exact)
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import functools
 import sys
 
 from .errors import InvariantViolation, OutOfRange, StateValidationError
-from .highdim import generalized_lower_bound
+from .highdim import _check_below_exact, generalized_lower_bound
 from .io import (
     hash_file,
     hash_text,
@@ -48,7 +48,9 @@ def cmd_bound(args) -> int:
     p = rep.argmax_pair
     line = f"bound={rep.bound:.6f}"
     if (q.dimA, q.dimB) == (2, 2):
-        line += f" exact={wootters_concurrence(q):.6f}"
+        exact = wootters_concurrence(q)
+        _check_below_exact(rep.bound, exact)
+        line += f" exact={exact:.6f}"
     line += f" pair=({p.i},{p.j},{p.k},{p.l}) mirrored={str(rep.mirrored).lower()}"
     print(line)
     print("verdict=" + ("entangled" if rep.bound > 0 else "inconclusive"))

@@ -7,12 +7,15 @@ shared by the two-qubit code and the convex-roof oracle.  For mixed states
 the pair margin 2(|Q_ik,jl| - sqrt(Q_il,il Q_jk,jk)), maximized over index
 pairs, is a lower bound on the convex-roof concurrence; _pair_terms is the one
 kernel for its terms, over any stack, and every margin in the package uses it.
+_best_margin is the one reduction of the margins to the bound, with its
+roundoff rule, and every bound in the package comes from it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .linalg import DensityMatrix, PureState
 # not signal (on pure product states, whose margin is 0, it reaches about 3).
 _ROUNDOFF_ULPS = 16
 _EPS = float(np.finfo(float).eps)
+# A lower bound may exceed the concurrence it bounds by this much, for roundoff.
+_EXACT_TOL = 1e-10
 _MINOR_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
@@ -151,35 +156,64 @@ def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
     return float(2.0 * (coh - root))
 
 
+class _BestMargin(NamedTuple):
+    """Margins (..., nA, nB, 2) of a (..., D, D) stack; bound, value, witness per matrix."""
+
+    margins: np.ndarray
+    bound: np.ndarray
+    value: np.ndarray
+    witness: np.ndarray
+
+
+def _best_margin(mat: np.ndarray, dimA: int, dimB: int, grid) -> _BestMargin:
+    """Every pair margin of each matrix in a (..., D, D) stack, and their maximum.
+
+    grid is _pair_grid(dimA, dimB), and the margins keep its layout.  Per
+    matrix, `value` is the maximum, the raw signed margin.  Roundoff is
+    _ROUNDOFF_ULPS units of the maximal margin's |coherence| + sqrt(diagonal
+    product), and `witness` is the flat grid index of the first margin within
+    roundoff of the maximum, so margins that are mathematically equal (the
+    plain and mirrored margins of a product state) are not told apart by
+    their last bits.  `bound` is the maximum, or 0 where it is within
+    roundoff of zero: a pure product state's margins are 0 but evaluate to a
+    few ulps either side, and roundoff must not certify entanglement.  Each
+    matrix gives the same bits alone or in a stack.
+    """
+    coh, root = _pair_terms(mat, dimA, dimB, *grid)
+    margins = 2.0 * (coh - root)
+    n = math.prod(margins.shape[-3:])
+    if n == 0:
+        raise IndexOutOfRange("dims too small: need dimA >= 2 and dimB >= 2")
+    flat = margins.reshape(-1, n)
+    rows = np.arange(len(flat))
+    top = flat.argmax(axis=1)
+    value = flat[rows, top]
+    roundoff = _ROUNDOFF_ULPS * _EPS * (coh + root).reshape(flat.shape)[rows, top]
+    witness = (flat >= (value - roundoff)[:, None]).argmax(axis=1)
+    stack = mat.shape[:-2]
+    return _BestMargin(margins, np.where(value > roundoff, value, 0.0).reshape(stack),
+                       value.reshape(stack), witness.reshape(stack))
+
+
+def _check_below_exact(bound: float, exact: float, what: str = "lower bound") -> None:
+    """Raise InvariantViolation if bound exceeds the exact concurrence by more than _EXACT_TOL."""
+    if bound > exact + _EXACT_TOL:
+        raise InvariantViolation(f"{what} {bound:.12g} exceeds exact concurrence {exact:.12g}")
+
+
 def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     """Maximize the pair margin over all index pairs and both orientations.
 
-    One _pair_terms call evaluates every margin of _pair_grid, laid out as
-    (A-pair, B-pair, mirrored) in lexicographic order.  Roundoff here is
-    _ROUNDOFF_ULPS units of the maximal margin's |coherence| + sqrt(diagonal
-    product).  The reported pair and orientation are the lexicographically
-    first (i, j, k, l, mirrored) whose margin lies within roundoff of the
-    maximum; `value` is the maximum itself, the raw signed margin.  A maximum
-    within roundoff of zero gives bound 0: on a pure product state the margin
-    is exactly 0 but evaluates to a few ulps either side, and a positive
-    roundoff must not certify entanglement.
+    The bound, value and witness are _best_margin's: the reported pair and
+    orientation are the lexicographically first (i, j, k, l, mirrored) whose
+    margin lies within roundoff of the maximum.
     """
-    i, j, k, l = _pair_grid(q.dimA, q.dimB)
-    coh, root = _pair_terms(q.mat, q.dimA, q.dimB, i, j, k, l)
-    margins = 2.0 * (coh - root)
-    if margins.size == 0:
-        raise IndexOutOfRange("dims too small: need dimA >= 2 and dimB >= 2")
-    top = np.argmax(margins)
-    value = float(margins.flat[top])
-    roundoff = _ROUNDOFF_ULPS * _EPS * (coh.flat[top] + root.flat[top])
-    # The witness is the first margin within roundoff of the maximum, so
-    # margins that are mathematically equal (the plain and mirrored margins
-    # of a product state) are not told apart by their last bits.
-    best = np.unravel_index(np.argmax(margins >= value - roundoff), margins.shape)
-    a, b, mirrored = (int(n) for n in best)
+    i, j, k, l = grid = _pair_grid(q.dimA, q.dimB)
+    best = _best_margin(q.mat, q.dimA, q.dimB, grid)
+    a, b, mirrored = np.unravel_index(best.witness, best.margins.shape)
     return GeneralBoundReport(
-        bound=value if value > roundoff else 0.0,
+        bound=float(best.bound),
         argmax_pair=PairIndex(*map(int, (i[a, 0, 0], j[a, 0, 0], k[0, b, 0], l[0, b, 0]))),
         mirrored=bool(mirrored),
-        value=value,
+        value=float(best.value),
     )

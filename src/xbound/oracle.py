@@ -21,21 +21,28 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize._lbfgsb import setulb
 
-from .errors import InvalidRank, InvariantViolation, OutOfRange
-from .highdim import (_EPS, _column_concurrence, _pair_grid, _pair_terms,
-                      generalized_lower_bound)
-from .linalg import (DensityMatrix, PureState, _local_product, _trial_densities,
+from .errors import InvalidRank, OutOfRange
+from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _column_concurrence,
+                      _pair_grid, _pair_terms, generalized_lower_bound)
+# sample_random_density is unused here, but the benchmark's fuzz-2q marks
+# replace it in this module by name, so it stays importable from it.
+from .linalg import (DensityMatrix, PureState, _local_product, _trial_densities,  # noqa: F401
                      sample_random_density)
-from .two_qubit import _warn_if_x_inconsistent, _wootters, _x_margins, wootters_concurrence
+from .two_qubit import _warn_if_x_inconsistent, _wootters, wootters_concurrence
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
 # search past the kinks where a column turns product (see
 # highdim._column_concurrence), and the last stage minimizes the average itself.
 _SMOOTHING = (1e-3, 1e-6, 0.0)
-# Two-qubit fuzz trials are evaluated this many at a time, so the stacked
-# buffers stay a few MB whatever the trial count.
+# Fuzz trials are evaluated this many at a time on two qubits, and
+# proportionally fewer in larger dimensions, so the stacked buffers stay a
+# few MB whatever the trial count.
 _FUZZ_CHUNK = 2048
+# L-BFGS ftol and gtol of the roof search, and of the basis search (below
+# the _EXACT_TOL of its early stop).
+_ROOF_TOL = 1e-8
+_BASIS_TOL = 1e-12
 # scipy's L-BFGS-B settings: stored corrections, line-search steps per
 # iteration and the evaluation budget (its maxcor, maxls and maxfun).
 _LBFGS_MEMORY = 10
@@ -101,7 +108,6 @@ def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, ftol: float
 class OptimizerConfig:
     restarts: int = 10
     max_iters: int = 2000
-    tol: float = 1e-8
     seed: int = 0
     decomp_size: Optional[int] = None  # defaults to max(rank, min(rank^2, 8))
 
@@ -191,7 +197,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     scaled eigenvectors (every size-m ensemble arises this way); the isometry
     comes from the QR factorization of an unconstrained complex matrix, and
     the objective is minimized by L-BFGS with its analytic gradient, from the
-    eigendecomposition and then from seeded random starts.  cfg.tol is
+    eigendecomposition and then from seeded random starts.  _ROOF_TOL is
     L-BFGS's ftol and gtol, and cfg.max_iters its maxiter in each stage.
     The result is the end point of whichever stage, over all starts, has the
     lowest exact (unsmoothed) average.
@@ -247,7 +253,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
         x = x_eye if k == 0 else rng.standard_normal(n_par)
         for smoothing in _SMOOTHING:
             res = minimize(objective, x, args=(smoothing,), maxiter=cfg.max_iters,
-                           ftol=cfg.tol, gtol=cfg.tol)
+                           ftol=_ROOF_TOL, gtol=_ROOF_TOL)
             x = res.x
             # A later stage can end above an earlier one, so every stage's
             # end point competes on its exact average.
@@ -309,16 +315,17 @@ def fuzz_inequality(
     On (2,2) the reference is the exact Wootters concurrence; otherwise it is
     the convex-roof upper bound, which dominates the true concurrence, so the
     comparison is safe at the same direction.  Either way only roundoff needs
-    slack, so the tolerance is 1e-10.  Ranks cycle through 1..dimA*dimB
-    unless an explicit list is given.  Rank-1 two-qubit trials additionally
-    check the signed pure-state inequality |c1| <= C.  Trial t always samples
-    from SeedSequence([seed, t]), so seed must be >= 0 and trials in
-    [1, 2**32] (t is one 32-bit entropy word); both raise OutOfRange
-    otherwise, and an empty ranks list raises InvalidRank.
-    Two-qubit trials are evaluated in stacked chunks (_fuzz_two_qubit), whose
-    stream states are derived for the whole chunk at once
-    (linalg._stream_states); the others are sampled and evaluated one at a
-    time.
+    slack, so the tolerance is _EXACT_TOL.  Ranks cycle through
+    1..dimA*dimB unless an explicit list is given.  Rank-1 two-qubit trials
+    additionally check the signed pure-state inequality |c1| <= C.  Trial t
+    always samples from SeedSequence([seed, t]), so seed must be >= 0 and
+    trials in [1, 2**32] (t is one 32-bit entropy word); both raise
+    OutOfRange otherwise, and an empty ranks list raises InvalidRank.
+    Trials run in chunks of _FUZZ_CHUNK * 16 / (dimA dimB)^2, at least one,
+    sampled stacked (linalg._trial_densities) and bounded in one
+    highdim._best_margin call.  The reference is the chunk's stacked
+    Wootters values on two qubits, else one convex_roof_upper per trial t,
+    seeded oracle_cfg.seed + t.
     """
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
@@ -327,32 +334,35 @@ def fuzz_inequality(
     if ranks is not None and not ranks:
         raise InvalidRank("ranks must not be empty")
     dimA, dimB = dims
-    exact_ref = (dimA, dimB) == (2, 2)
-    cmp_tol = 1e-10
+    d = dimA * dimB
+    two_qubit = (dimA, dimB) == (2, 2)
     # The reference only needs to dominate the true concurrence, which any
     # decomposition average does, so the fuzz oracle can run lean.
-    if not exact_ref and oracle_cfg is None:
+    if not two_qubit and oracle_cfg is None:
         oracle_cfg = OptimizerConfig(restarts=1, max_iters=150)
-    rank_cycle = ranks if ranks is not None else list(range(1, dimA * dimB + 1))
-
-    if exact_ref:
-        violations, min_slack, max_gap = _fuzz_two_qubit(trials, seed, rank_cycle, cmp_tol)
-    else:
-        violations = 0
-        max_gap = -math.inf
-        min_slack = math.inf
-        for t in range(trials):
-            rank = rank_cycle[t % len(rank_cycle)]
-            q = sample_random_density(dimA, dimB, rank, np.random.SeedSequence([seed, t]))
-            bound = generalized_lower_bound(q).bound
-            reference = convex_roof_upper(
-                q, replace(oracle_cfg, seed=oracle_cfg.seed + t)
-            ).value
-            slack = float(reference - bound)
-            min_slack = min(min_slack, slack)
-            max_gap = max(max_gap, slack)
-            if bound > reference + cmp_tol:
-                violations += 1
+    cycle = np.asarray(ranks if ranks is not None else range(1, d + 1))
+    grid = _pair_grid(dimA, dimB)
+    chunk = max(1, _FUZZ_CHUNK * 16 // (d * d))
+    violations, min_slack, max_gap = 0, math.inf, -math.inf
+    for start in range(0, trials, chunk):
+        t = np.arange(start, min(trials, start + chunk))
+        rank = cycle[t % cycle.size]
+        m = _trial_densities(dimA, dimB, seed, start, rank)
+        best = _best_margin(m, dimA, dimB, grid)
+        if two_qubit:
+            _warn_if_x_inconsistent(m)
+            reference = _wootters(m)
+            # Rank-1 trials also check the signed pure-state inequality |c1| <= C.
+            c1 = best.margins[:, 0, 0, 0]
+            violations += int(np.count_nonzero((rank == 1) & (np.abs(c1) > reference + _EXACT_TOL)))
+        else:
+            cfgs = (replace(oracle_cfg, seed=oracle_cfg.seed + n) for n in t.tolist())
+            reference = np.array([convex_roof_upper(DensityMatrix(dimA, dimB, mat), cfg).value
+                                  for mat, cfg in zip(m, cfgs)])
+        violations += int(np.count_nonzero(best.bound > reference + _EXACT_TOL))
+        slack = reference - best.bound
+        min_slack = min(min_slack, float(slack.min()))
+        max_gap = max(max_gap, float(slack.max()))
     return FuzzReport(
         trials=trials,
         dimA=dimA,
@@ -361,36 +371,8 @@ def fuzz_inequality(
         violations=violations,
         max_gap=max_gap,
         min_slack=min_slack,
-        oracle_tolerance=cmp_tol,
+        oracle_tolerance=_EXACT_TOL,
     )
-
-
-def _fuzz_two_qubit(trials: int, seed: int, rank_cycle: list[int],
-                    cmp_tol: float) -> tuple[int, float, float]:
-    """Violations, min slack and max gap of the two-qubit fuzz, _FUZZ_CHUNK trials at a time.
-
-    Each trial's state comes from its own stream, as elsewhere in
-    fuzz_inequality, but the chunk's states are sampled together
-    (linalg._trial_densities, bitwise equal to sample_random_density); the
-    X margins, the Wootters values, the X-part positivity warning and both
-    violation rules then run once per chunk on the stacked matrices.
-    """
-    cycle = np.asarray(rank_cycle)
-    violations, min_slack, max_gap = 0, math.inf, -math.inf
-    for start in range(0, trials, _FUZZ_CHUNK):
-        ranks = cycle[np.arange(start, min(trials, start + _FUZZ_CHUNK)) % cycle.size]
-        m = _trial_densities(2, 2, seed, start, ranks)
-        _warn_if_x_inconsistent(m)
-        c1, c2 = _x_margins(m).T
-        bound = np.maximum(np.maximum(0.0, c1), c2)
-        reference = _wootters(m)
-        # Rank-1 trials also check the signed pure-state inequality |c1| <= C.
-        violations += int(np.count_nonzero((ranks == 1) & (np.abs(c1) > reference + 1e-10)))
-        violations += int(np.count_nonzero(bound > reference + cmp_tol))
-        slack = reference - bound
-        min_slack = min(min_slack, float(slack.min()))
-        max_gap = max(max_gap, float(slack.max()))
-    return violations, min_slack, max_gap
 
 
 @dataclass(frozen=True)
@@ -426,10 +408,6 @@ def _expi_grad(gu: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     dd = 1j * np.exp(0.5j * (lam[:, None] + lam)) * np.sinc((lam[:, None] - lam) / (2 * np.pi))
     gh = v @ (dd.conj() * (v.conj().T @ gu @ v)) @ v.conj().T
     return (0.5 * ((1.0 - 1.0j) * gh + (1.0 + 1.0j) * gh.T)).real.ravel()
-
-
-# L-BFGS ftol and gtol of the basis search, below the 1e-10 of its early stop.
-_BASIS_TOL = 1e-12
 
 
 def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
@@ -476,19 +454,20 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     """
     exact = wootters_concurrence(q)
     dimA, dimB = q.dimA, q.dimB
+    grid = _pair_grid(dimA, dimB)
 
     def rotated_bound(uA: np.ndarray, uB: np.ndarray) -> float:
         u = _local_product(uA, uB)
-        return max(0.0, *_x_margins(u @ q.mat @ u.conj().T))
+        return float(_best_margin(u @ q.mat @ u.conj().T, dimA, dimB, grid).bound)
 
     best_uA, best_uB = np.eye(dimA, dtype=complex), np.eye(dimB, dtype=complex)
     orig = best_bound = rotated_bound(best_uA, best_uB)
     rng = np.random.default_rng(cfg.seed)
     n_par = dimA * dimA + dimB * dimB
-    pairs = np.stack(np.broadcast_arrays(*_pair_grid(dimA, dimB)), axis=-1).reshape(-1, 4)
+    pairs = np.stack(np.broadcast_arrays(*grid), axis=-1).reshape(-1, 4)
     x0 = np.zeros(n_par)  # start 0 is the identity
     for run in range(cfg.restarts * len(pairs)):
-        if best_bound >= exact - 1e-10:
+        if best_bound >= exact - _EXACT_TOL:
             break
         start, w = divmod(run, len(pairs))
         if start > 0 and w == 0:
@@ -500,10 +479,7 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
         if value > best_bound:
             best_bound, best_uA, best_uB = value, uA, uB
 
-    if best_bound > exact + 1e-10:
-        raise InvariantViolation(
-            f"optimized bound {best_bound:.12g} exceeds exact concurrence {exact:.12g}"
-        )
+    _check_below_exact(best_bound, exact, "optimized bound")
     return BasisResult(
         best_bound=best_bound,
         uA=best_uA,

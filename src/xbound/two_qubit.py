@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvariantViolation, OutOfRange, WrongDimensions
-from .highdim import _column_concurrence, _pair_grid, _pair_terms
+from .errors import OutOfRange, WrongDimensions
+from .highdim import _best_margin, _check_below_exact, _column_concurrence, _pair_grid
 from .linalg import DensityMatrix, PureState, clipped_sqrt
 
 _SY2 = np.array(
@@ -103,23 +103,15 @@ def _warn_if_x_inconsistent(m: np.ndarray, slack: float = 1e-8) -> None:
         warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
 
 
-# The pair grid of the two X witnesses (c1, c2), built once.
-_X_GRID = _pair_grid(2, 2)
-
-
-def _x_margins(m: np.ndarray) -> np.ndarray:
-    """Signed margins (c1, c2), shaped (..., 2), of a 4x4 matrix or a (..., 4, 4) stack."""
-    coh, root = _pair_terms(m, 2, 2, *_X_GRID)
-    return (2.0 * (coh - root)).reshape(*m.shape[:-2], 2)
-
-
 def x_concurrence(x: XCore) -> BoundReport:
     """Concurrence of an X matrix: 2*max{0, |q14|-sqrt(d22 d33), |q23|-sqrt(d11 d44)}.
 
-    c1 and c2 are reported signed; only `bound` clips at zero.
+    c1 and c2 are the signed margins of the 2x2 pair grid; `bound` is their
+    maximum by highdim._best_margin, 0 where that is within roundoff of zero.
     """
-    c1, c2 = (float(c) for c in _x_margins(x.as_matrix()))
-    return BoundReport(c1=c1, c2=c2, bound=max(0.0, c1, c2))
+    best = _best_margin(x.as_matrix(), 2, 2, _pair_grid(2, 2))
+    c1, c2 = best.margins.ravel().tolist()
+    return BoundReport(c1=c1, c2=c2, bound=float(best.bound))
 
 
 def pure_concurrence_2q(psi: PureState) -> float:
@@ -153,27 +145,22 @@ def wootters_concurrence(q: DensityMatrix) -> float:
 
 def x_lower_bound(q: DensityMatrix) -> BoundReport:
     """X-matrix lower bound on the concurrence, with the exact value attached."""
-    x, _ = x_decompose(q)
-    rep = x_concurrence(x)
+    rep = x_concurrence(x_decompose(q)[0])
     exact = wootters_concurrence(q)
-    if rep.bound > exact + 1e-10:
-        raise InvariantViolation(
-            f"lower bound {rep.bound:.12g} exceeds exact concurrence {exact:.12g}"
-        )
-    return BoundReport(c1=rep.c1, c2=rep.c2, bound=rep.bound, exact=exact)
+    _check_below_exact(rep.bound, exact)
+    return replace(rep, exact=exact)
 
 
 def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport:
     """Entanglement certificate from three measured density-matrix elements.
 
     Only |Q14| and the two diagonals Q22, Q33 are needed; the phase of Q14 is
-    irrelevant.  A positive c1 certifies entanglement; a non-positive c1 is
-    inconclusive.
+    irrelevant.  c2 is then exactly 0, so a c1 above roundoff (see
+    highdim._best_margin) certifies entanglement; any other c1 is inconclusive.
     """
     if not (math.isfinite(q14_abs) and q14_abs >= 0):
         raise OutOfRange(f"|q14| must be finite and non-negative, got {q14_abs}")
     for name, v in (("d22", d22), ("d33", d33)):
         if not 0.0 <= v <= 1.0:
             raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
-    c1 = x_concurrence(XCore(0.0, d22, d33, 0.0, q14_abs, 0.0)).c1
-    return BoundReport(c1=c1, c2=None, bound=max(0.0, c1))
+    return replace(x_concurrence(XCore(0.0, d22, d33, 0.0, q14_abs, 0.0)), c2=None)

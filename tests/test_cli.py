@@ -110,6 +110,16 @@ class TestBound:
         code = main(["bound", bell_file, "--dims", "3,3"])
         assert code == 2
 
+    def test_bound_above_exact_exits_3(self, bell_file, capsys, monkeypatch):
+        # A 2x2 bound above its exact value is a bug, not a verdict.
+        monkeypatch.setattr("xbound.two_qubit._wootters", lambda mats: np.zeros(mats.shape[:-2]))
+        code = main(["bound", bell_file])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: InvariantViolation:")
+
     def test_missing_file(self, capsys):
         assert main(["bound", "/nonexistent/state.json"]) == 2
 
@@ -325,6 +335,13 @@ class TestCertify:
         assert "entangled" in out
         c1 = float(out.split("C1=")[1])
         assert c1 == pytest.approx(0.0286, abs=1e-3)
+
+    def test_product_elements_inconclusive(self, capsys):
+        # ab, a^2 and b^2 are a product state's elements; c1 evaluates to 1.1e-16.
+        code = main(["certify", "--q14", "0.43655692513322986",
+                     "--d22", "0.9004940982043912", "--d33", "0.2116415302019256"])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("inconclusive")
 
     def test_out_of_range(self, capsys):
         code = main(["certify", "--q14", "-1", "--d22", "0", "--d33", "0"])

@@ -18,7 +18,8 @@ from xbound import (
     validate_density,
     x_lower_bound,
 )
-from xbound.highdim import _column_concurrence, _iconc_from_minors, _pair_grid, _pair_terms
+from xbound.highdim import (_best_margin, _column_concurrence, _iconc_from_minors, _pair_grid,
+                             _pair_terms)
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
@@ -128,10 +129,18 @@ class TestPairKernel:
         mats = np.stack([sample_random_density(dA, dB, 1 + n % (dA * dB), [dA, dB, n]).mat
                          for n in range(40)]).reshape(4, 10, dA * dB, dA * dB)
         coh, root = _pair_terms(mats, dA, dB, *grid)
+        best = _best_margin(mats, dA, dB, grid)
+        assert best.bound.shape == best.value.shape == best.witness.shape == (4, 10)
         for idx in np.ndindex(4, 10):
             one_coh, one_root = _pair_terms(mats[idx], dA, dB, *grid)
             assert coh[idx].tobytes() == one_coh.tobytes()
             assert root[idx].tobytes() == one_root.tobytes()
+            one = _best_margin(mats[idx], dA, dB, grid)
+            assert best.margins[idx].tobytes() == one.margins.tobytes()
+            assert (best.bound[idx], best.value[idx], best.witness[idx]) == (
+                one.bound, one.value, one.witness)
+            rep = generalized_lower_bound(validate_density(mats[idx], dA, dB))
+            assert (rep.bound, rep.value) == (one.bound, one.value)
 
     def test_2x2_grid_is_the_x_witnesses(self):
         # (0,1,0,1) reads Q_14 against Q_22 Q_33 (c1); (0,1,1,0) reads Q_23
@@ -197,16 +206,25 @@ class TestGeneralizedLowerBound:
     def test_product_states_report_plain_orientation(self, dims):
         # On rho_A (x) rho_B each pair's plain and mirrored margins are equal
         # but for roundoff, so the first orientation is reported, not the one
-        # whose last bit happens to be larger.
+        # whose last bit happens to be larger.  On a pure product every margin
+        # is 0 but for roundoff, and no route may certify it.
         dA, dB = dims
         for n in range(20):
             rng = np.random.default_rng([dA, dB, n])
-            local = []
+            local, pure = [], []
             for d in dims:
                 g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 local.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
-            rep = generalized_lower_bound(validate_density(np.kron(*local), dA, dB))
-            assert not rep.mirrored
+                v = g[:, 0] / np.linalg.norm(g[:, 0])
+                pure.append(np.outer(v, v.conj()))
+            for factors in (local, pure):
+                q = validate_density(np.kron(*factors), dA, dB)
+                rep = generalized_lower_bound(q)
+                assert not rep.mirrored
+                assert rep.bound == 0.0
+                if dims == (2, 2):
+                    two_qubit = x_lower_bound(q)
+                    assert two_qubit.bound == 0.0 and not two_qubit.entangled
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 4), (3, 5), (5, 5)])
     def test_matches_flat_index_reference(self, dims):

@@ -237,11 +237,12 @@ class TestTrialStreams:
 
     @pytest.mark.parametrize("seed,start", [(0, 0), (42, 5), (10**23, 2**32 - 40)])
     def test_trial_densities_match_sample_random_density(self, seed, start):
-        ranks = np.array([1, 2, 3, 4, 4, 2, 1, 3] * 4)
-        mats = linalg._trial_densities(2, 2, seed, start, ranks)
-        for i, rank in enumerate(ranks):
-            q = sample_random_density(2, 2, rank, np.random.SeedSequence([seed, start + i]))
-            assert mats[i].tobytes() == q.mat.tobytes()
+        for dA, dB in [(2, 2), (3, 3), (2, 4), (8, 8)]:
+            ranks = np.array([1, 2, 3, 4, 4, 2, 1, 3] * 4 + [dA * dB])
+            mats = linalg._trial_densities(dA, dB, seed, start, ranks)
+            for i, rank in enumerate(ranks):
+                q = sample_random_density(dA, dB, rank, np.random.SeedSequence([seed, start + i]))
+                assert mats[i].tobytes() == q.mat.tobytes()
 
 
 class TestLocalUnitaryConjugation:

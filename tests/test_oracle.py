@@ -18,6 +18,7 @@ from xbound import (
     optimize_basis,
     projector,
     pure_concurrence_2q,
+    pure_state,
     sample_haar_pure,
     sample_haar_unitary,
     sample_random_density,
@@ -399,6 +400,16 @@ class TestOptimizeBasis:
         res = optimize_basis(maximally_mixed(2, 2), OptimizerConfig(restarts=3, seed=0))
         assert res.best_bound == 0.0
         assert res.original_bound == 0.0
+
+    def test_product_states_stay_zero(self):
+        # No local basis makes a product state entangled: a pure product's
+        # margins reach 0 at best, and roundoff above 0 must not count.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 2, 2)) @ [1, 1j])
+            q = projector(pure_state(np.kron(a, b), 2, 2))
+            res = optimize_basis(q, OptimizerConfig(restarts=3, seed=0))
+            assert res.original_bound == res.best_bound == 0.0
 
     @pytest.mark.parametrize("witness", X_PAIRS)
     def test_basis_margin_gradient(self, witness):

@@ -248,6 +248,14 @@ class TestCertify:
         assert rep.c1 == pytest.approx(CHI_C, abs=1e-12)
         assert rep.entangled
 
+    def test_product_elements_inconclusive(self):
+        # |Q14| = ab, Q22 = a^2 and Q33 = b^2 are the elements of a product
+        # state: c1 is 0 but for roundoff, which must not certify.
+        rng = np.random.default_rng(7)
+        for a, b in rng.uniform(0.0, 1.0, (1000, 2)):
+            rep = certify_from_elements(a * b, a * a, b * b)
+            assert rep.bound == 0.0 and not rep.entangled
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             certify_from_elements(-0.1, 0.2, 0.2)
