@@ -8,7 +8,8 @@ Random states are Ginibre states (_ginibre).  The fuzzer's trial t draws from
 np.random.SeedSequence([seed, t]); _stream_states derives the PCG64 states of
 a whole run of such streams at once (numpy's SeedSequence hash vectorized in
 uint32, then PCG64's seeding), and _trial_densities samples those trials
-stacked, bit for bit as sample_random_density would one at a time.
+stacked, bit for bit as sample_random_density would one at a time, and
+returns their Ginibre factors too.
 """
 from __future__ import annotations
 
@@ -154,15 +155,16 @@ def partial_trace_B(q: DensityMatrix) -> np.ndarray:
     return np.trace(t, axis1=1, axis2=3)
 
 
-def _ginibre(x: np.ndarray) -> np.ndarray:
-    """States G G^dag / Tr[G G^dag] of a stack x of shape (n, 2, d, rank).
+def _ginibre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States G G^dag / Tr[G G^dag] of a stack x of shape (n, 2, d, rank), with G and the traces.
 
     G = x[:, 0] + i x[:, 1]: one draw of standard normals of shape
     (2, d, rank) holds the real parts of G and then its imaginary parts.
     """
     g = x[:, 0] + 1j * x[:, 1]
     m = g @ g.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    return m / tr[:, None, None], g, tr
 
 
 def _check_ranks(ranks, d: int) -> None:
@@ -181,7 +183,7 @@ def sample_random_density(dimA: int, dimB: int, rank: int, seed) -> DensityMatri
     d = dimA * dimB
     _check_ranks([rank], d)
     x = np.random.default_rng(seed).standard_normal((1, 2, d, rank))
-    return DensityMatrix(dimA=dimA, dimB=dimB, mat=_ginibre(x)[0])
+    return DensityMatrix(dimA=dimA, dimB=dimB, mat=_ginibre(x)[0][0])
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
@@ -253,7 +255,7 @@ def _stream_states(seed: int, ts) -> list[tuple[int, int]]:
     return out
 
 
-def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> np.ndarray:
+def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> tuple[np.ndarray, list]:
     """Matrices of trials start, start+1, ... as sample_random_density draws them, stacked.
 
     Trial start + i has rank ranks[i] and the stream of
@@ -262,7 +264,10 @@ def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> np.n
     bit for bit.  The streams' states come from _stream_states; the first
     one is checked against numpy's own seeding, so a numpy release that
     seeds differently raises InvariantViolation rather than changing the
-    states.  Trials of one rank are built together by _ginibre.
+    states.  Trials of one rank are built together by _ginibre; the second
+    result holds, per rank, the trials' indices idx, their Ginibre factors
+    G (shape (idx.size, dimA*dimB, rank)) and traces Tr[G G^dag], so that
+    matrix idx[j] is G[j] G[j]^dag / Tr[j].
     """
     d = dimA * dimB
     ranks = np.asarray(ranks)
@@ -277,6 +282,7 @@ def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> np.n
         )
     rng = np.random.Generator(bitgen)
     out = np.empty((ranks.size, d, d), dtype=complex)
+    factors = []
     for rank in levels:
         idx = np.flatnonzero(ranks == rank)
         x = np.empty((idx.size, 2, d, rank))
@@ -285,8 +291,9 @@ def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> np.n
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
             rng.standard_normal(out=x[j])
-        out[idx] = _ginibre(x)
-    return out
+        out[idx], g, tr = _ginibre(x)
+        factors.append((idx, g, tr))
+    return out, factors
 
 
 def sample_haar_pure(dimA: int, dimB: int, seed) -> PureState:

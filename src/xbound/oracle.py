@@ -28,7 +28,7 @@ from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _colum
 # replace it in this module by name, so it stays importable from it.
 from .linalg import (DensityMatrix, PureState, _local_product, _trial_densities,  # noqa: F401
                      sample_random_density)
-from .two_qubit import _warn_if_x_inconsistent, _wootters, wootters_concurrence
+from .two_qubit import _warn_if_x_inconsistent, _wootters_factor, wootters_concurrence
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
@@ -323,9 +323,10 @@ def fuzz_inequality(
     OutOfRange otherwise, and an empty ranks list raises InvalidRank.
     Trials run in chunks of _FUZZ_CHUNK * 16 / (dimA dimB)^2, at least one,
     sampled stacked (linalg._trial_densities) and bounded in one
-    highdim._best_margin call.  The reference is the chunk's stacked
-    Wootters values on two qubits, else one convex_roof_upper per trial t,
-    seeded oracle_cfg.seed + t.
+    highdim._best_margin call.  On two qubits the reference is the Wootters
+    value from each trial's Ginibre factor (two_qubit._wootters_factor, one
+    call per rank), else one convex_roof_upper per trial t, seeded
+    oracle_cfg.seed + t.
     """
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
@@ -347,11 +348,13 @@ def fuzz_inequality(
     for start in range(0, trials, chunk):
         t = np.arange(start, min(trials, start + chunk))
         rank = cycle[t % cycle.size]
-        m = _trial_densities(dimA, dimB, seed, start, rank)
+        m, factors = _trial_densities(dimA, dimB, seed, start, rank)
         best = _best_margin(m, dimA, dimB, grid)
         if two_qubit:
             _warn_if_x_inconsistent(m)
-            reference = _wootters(m)
+            reference = np.empty(t.size)
+            for idx, g, tr in factors:
+                reference[idx] = _wootters_factor(g, tr)
             # Rank-1 trials also check the signed pure-state inequality |c1| <= C.
             c1 = best.margins[:, 0, 0, 0]
             violations += int(np.count_nonzero((rank == 1) & (np.abs(c1) > reference + _EXACT_TOL)))

@@ -5,7 +5,6 @@ consists of the diagonal plus the (0,3) and (1,2) coherences (and conjugates).
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -13,18 +12,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import OutOfRange, WrongDimensions
-from .highdim import _best_margin, _check_below_exact, _column_concurrence, _pair_grid
+from .highdim import (_MINOR_SIGNS, _best_margin, _check_below_exact, _column_concurrence,
+                      _pair_grid)
 from .linalg import DensityMatrix, PureState, clipped_sqrt
 
-_SY2 = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=complex,
-)  # sigma_y (x) sigma_y
+# The two X witnesses (c1, c2), built once: highdim._pair_grid(2, 2) is read-only.
+_X_GRID = _pair_grid(2, 2)
 
 
 @dataclass(frozen=True)
@@ -109,7 +102,7 @@ def x_concurrence(x: XCore) -> BoundReport:
     c1 and c2 are the signed margins of the 2x2 pair grid; `bound` is their
     maximum by highdim._best_margin, 0 where that is within roundoff of zero.
     """
-    best = _best_margin(x.as_matrix(), 2, 2, _pair_grid(2, 2))
+    best = _best_margin(x.as_matrix(), 2, 2, _X_GRID)
     c1, c2 = best.margins.ravel().tolist()
     return BoundReport(c1=c1, c2=c2, bound=float(best.bound))
 
@@ -121,20 +114,29 @@ def pure_concurrence_2q(psi: PureState) -> float:
     return float(_column_concurrence(psi.amps[:, None], 2, 2)[0])
 
 
-def _wootters(mats: np.ndarray) -> np.ndarray:
-    """Exact concurrence of every two-qubit state in a (..., 4, 4) stack.
+def _wootters_factor(a: np.ndarray, s) -> np.ndarray:
+    """Exact concurrence of every two-qubit state rho = a a^dag / s, for a (..., 4, r) stack a.
 
-    max{0, l1 - l2 - l3 - l4}, where the l_i are, in decreasing order, the
-    square roots of the eigenvalues of rho * rho~ with
-    rho~ = (sy(x)sy) rho* (sy(x)sy).  Computed here as the singular values of
-    sqrt(rho) (sy(x)sy) sqrt(rho)*, which is numerically stable (no square
-    root of near-zero eigenvalues).
+    max{0, l1 - l2 - l3 - l4} (Wootters, PRL 80, 2245 (1998)), where the
+    l_i are, in decreasing order, the square roots of the eigenvalues of
+    rho (sy(x)sy) rho* (sy(x)sy).  They are the singular values of the
+    r x r matrix a^T (sy(x)sy) a / s, zero-padded to 4, so no square root of
+    a near-zero eigenvalue is taken.  sy(x)sy is applied as a signed row
+    reversal, with highdim._MINOR_SIGNS: that is -sy(x)sy, and no singular
+    value sees the sign.  s broadcasts against the stack's shape.
+    """
+    m = np.swapaxes(a, -1, -2) @ (a[..., ::-1, :] * _MINOR_SIGNS)
+    lam = np.linalg.svd(m, compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)) / s
+
+
+def _wootters(mats: np.ndarray) -> np.ndarray:
+    """Exact concurrence of every two-qubit state in a (..., 4, 4) stack, by _wootters_factor.
+
+    The factor is V sqrt(L) from the eigendecomposition rho = V L V^dag.
     """
     evals, vecs = np.linalg.eigh(mats)
-    sqrt_rho = (vecs * clipped_sqrt(evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    a = sqrt_rho @ _SY2 @ sqrt_rho.conj()
-    lam = np.linalg.svd(a, compute_uv=False)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return _wootters_factor(vecs * clipped_sqrt(evals)[..., None, :], 1.0)
 
 
 def wootters_concurrence(q: DensityMatrix) -> float:
@@ -154,13 +156,12 @@ def x_lower_bound(q: DensityMatrix) -> BoundReport:
 def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport:
     """Entanglement certificate from three measured density-matrix elements.
 
-    Only |Q14| and the two diagonals Q22, Q33 are needed; the phase of Q14 is
-    irrelevant.  c2 is then exactly 0, so a c1 above roundoff (see
-    highdim._best_margin) certifies entanglement; any other c1 is inconclusive.
+    Only |Q14| and the two diagonals Q22, Q33 are needed, each in [0, 1]
+    (else OutOfRange); the phase of Q14 is irrelevant.  c2 is then exactly
+    0, so a c1 above roundoff (see highdim._best_margin) certifies
+    entanglement; any other c1 is inconclusive.
     """
-    if not (math.isfinite(q14_abs) and q14_abs >= 0):
-        raise OutOfRange(f"|q14| must be finite and non-negative, got {q14_abs}")
-    for name, v in (("d22", d22), ("d33", d33)):
+    for name, v in (("|q14|", q14_abs), ("d22", d22), ("d33", d33)):
         if not 0.0 <= v <= 1.0:
             raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
     return replace(x_concurrence(XCore(0.0, d22, d33, 0.0, q14_abs, 0.0)), c2=None)

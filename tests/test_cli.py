@@ -352,6 +352,61 @@ class TestCertify:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_huge_q14(self, capsys):
+        # No element of a state exceeds 1; this margin would overflow to C1=inf.
+        code = main(["certify", "--q14", "1e308", "--d22", "0.5", "--d33", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: OutOfRange: |q14|")
+
+
+def _run_main(argv) -> tuple[int, str]:
+    """Exit code and standard error of main(argv); any exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_stderr(err: str) -> None:
+    lines = err.splitlines()
+    assert not lines or (len(lines) == 1 and lines[0].startswith("error:")), err
+
+
+cli_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 2.2e-308, 0.0, -0.0, 1.0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(q14=cli_floats, d22=cli_floats, d33=cli_floats)
+@example(q14=1e308, d22=0.5, d33=0.5)
+@example(q14=5e-324, d22=5e-324, d33=2.2e-308)
+@example(q14=0.5, d22=0.0, d33=0.0)
+@example(q14=1.0, d22=1.0, d33=1.0)
+def test_certify_exit_code_contract(q14, d22, d33):
+    code, err = _run_main(["certify", f"--q14={q14!r}", f"--d22={d22!r}", f"--d33={d33!r}"])
+    assert code in (0, 1, 2)
+    _assert_clean_stderr(err)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trials=st.integers(-2, 4), dims=st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+       seed=st.integers(-2, 2**70))
+@example(trials=4, dims=(2, 2), seed=2**70)
+@example(trials=4, dims=(3, 3), seed=2**64)
+@example(trials=3, dims=(2, 3), seed=0)
+@example(trials=2, dims=(3, 2), seed=2**32)
+@example(trials=4, dims=(-1, 3), seed=0)
+@example(trials=-2, dims=(2, 2), seed=0)
+@example(trials=4, dims=(2, 2), seed=-2)
+def test_fuzz_exit_code_contract(trials, dims, seed):
+    code, err = _run_main([f"--seed={seed}", "fuzz", f"--trials={trials}",
+                           f"--dims={dims[0]},{dims[1]}"])
+    assert code in (0, 2)
+    _assert_clean_stderr(err)
+
 
 class TestIsotropicSweep:
     def test_d3_sweep(self, tmp_path, capsys):

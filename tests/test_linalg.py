@@ -239,10 +239,17 @@ class TestTrialStreams:
     def test_trial_densities_match_sample_random_density(self, seed, start):
         for dA, dB in [(2, 2), (3, 3), (2, 4), (8, 8)]:
             ranks = np.array([1, 2, 3, 4, 4, 2, 1, 3] * 4 + [dA * dB])
-            mats = linalg._trial_densities(dA, dB, seed, start, ranks)
+            mats, factors = linalg._trial_densities(dA, dB, seed, start, ranks)
             for i, rank in enumerate(ranks):
                 q = sample_random_density(dA, dB, rank, np.random.SeedSequence([seed, start + i]))
                 assert mats[i].tobytes() == q.mat.tobytes()
+            # Each rank's factors and traces give back its matrices bit for bit.
+            assert sorted(np.concatenate([idx for idx, _, _ in factors])) == list(range(ranks.size))
+            for idx, g, tr in factors:
+                assert g.shape == (idx.size, dA * dB, ranks[idx[0]])
+                assert np.all(ranks[idx] == ranks[idx[0]])
+                m = g @ g.conj().swapaxes(-1, -2) / tr[:, None, None]
+                assert m.tobytes() == mats[idx].tobytes()
 
 
 class TestLocalUnitaryConjugation:

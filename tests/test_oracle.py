@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize as scipy_minimize
 
 from xbound import (
+    DensityMatrix,
     FuzzReport,
     InvalidRank,
     InvariantViolation,
@@ -28,7 +29,7 @@ from xbound import (
     x_decompose,
     x_lower_bound,
 )
-from xbound import linalg, oracle
+from xbound import linalg, oracle, two_qubit
 from xbound.highdim import _pair_grid
 from xbound.oracle import (
     _FUZZ_CHUNK,
@@ -65,14 +66,20 @@ def eigen_weights(q, rank):
 
 
 def fuzz_trials_2q(trials, seed, ranks):
-    """(violations, slack) of every two-qubit fuzz trial, one state at a time."""
+    """(violations, slack) of every two-qubit fuzz trial, one state at a time.
+
+    Trial t is drawn as sample_random_density draws it, from numpy's own
+    seeding of SeedSequence([seed, t]), and its exact value is the Wootters
+    kernel on its own Ginibre factor, looked up in two_qubit at call time.
+    """
     cycle = ranks if ranks is not None else [1, 2, 3, 4]
     out = []
     for t in range(trials):
         rank = cycle[t % len(cycle)]
-        q = sample_random_density(2, 2, rank, np.random.SeedSequence([seed, t]))
-        rep = x_concurrence(x_decompose(q)[0])
-        exact = wootters_concurrence(q)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        (m,), g, tr = linalg._ginibre(rng.standard_normal((1, 2, 4, rank)))
+        rep = x_concurrence(x_decompose(DensityMatrix(2, 2, m))[0])
+        exact = float(two_qubit._wootters_factor(g, tr)[0])
         violations = int(rank == 1 and abs(rep.c1) > exact + 1e-10)
         violations += int(rep.bound > exact + 1e-10)
         out.append((violations, float(exact - rep.bound)))
@@ -313,13 +320,12 @@ class TestFuzz:
         assert rep.to_json() == expected.to_json()
 
     @pytest.mark.parametrize("trials,seed,ranks,max_gap,min_slack", [
-        (7, 0, [1], 0.6004710584075597, 0.12756813037434184),
-        (1, 42, [3, 4], 0.2341316940911065, 0.2341316940911065),
-        (2000, 42, [1], 0.969657502771216, 6.647722485542129e-07),
-    ])
+        (7, 0, [1], 0.6004710584075603, 0.12756813037434228),
+        (1, 42, [3, 4], 0.23413169409110723, 0.23413169409110723),
+        (2000, 42, [1], 0.9696575027712173, 6.647722486374796e-07),
+    ], ids=["7-0-rank1", "1-42-rank3-4", "2000-42-rank1"])
     def test_2q_report_pinned(self, trials, seed, ranks, max_gap, min_slack):
-        # Reports of the one-state-at-a-time fuzzer, which took |coh| by the
-        # scalar complex abs: the stacked margins must reproduce them bitwise.
+        # Reports with the Wootters value taken from each trial's Ginibre factor.
         rep = fuzz_inequality(trials, (2, 2), seed, ranks)
         assert (rep.violations, rep.max_gap, rep.min_slack) == (0, max_gap, min_slack)
 
@@ -327,9 +333,9 @@ class TestFuzz:
     def test_violation_count_matches_per_trial_loop(self, monkeypatch, ranks):
         # With every Wootters value forced to 0, each entangled X part and
         # (at rank 1) each nonzero |c1| counts as a violation.
-        zero = lambda mats: np.zeros(mats.shape[:-2])  # noqa: E731
-        monkeypatch.setattr("xbound.two_qubit._wootters", zero)
-        monkeypatch.setattr("xbound.oracle._wootters", zero)
+        zero = lambda a, s: np.zeros(a.shape[:-2])  # noqa: E731
+        monkeypatch.setattr("xbound.two_qubit._wootters_factor", zero)
+        monkeypatch.setattr("xbound.oracle._wootters_factor", zero)
         trials = _FUZZ_CHUNK + 3
         rep = fuzz_inequality(trials, (2, 2), 3, ranks)
         expected = fuzz_report_2q(trials, 3, fuzz_trials_2q(trials, 3, ranks))

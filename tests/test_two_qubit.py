@@ -27,10 +27,12 @@ from xbound.reference_states import (
     bell_phi_plus,
     chi_state,
     maximally_mixed,
+    singlet,
     werner_exact_concurrence,
     werner_state,
 )
-from xbound.two_qubit import _warn_if_x_inconsistent, _wootters
+from xbound.linalg import _trial_densities
+from xbound.two_qubit import _warn_if_x_inconsistent, _wootters, _wootters_factor
 
 CHI_C = 0.5 - math.sqrt(2.0) / 3.0  # 2|alpha*delta - beta*gamma| for chi
 
@@ -170,6 +172,50 @@ class TestWootters:
         assert np.array_equal(stacked, per_state)
 
 
+class TestWoottersFactor:
+    # 200 Ginibre states of rank 1-4: (idx, G, Tr[G G^dag]) per rank, and the matrices.
+    MATS, FACTORS = _trial_densities(2, 2, 2024, 0, [1, 2, 3, 4] * 50)
+
+    def test_factors_of_one_state_agree(self):
+        eigen = _wootters(self.MATS)
+        for idx, g, tr in self.FACTORS:
+            r = g.shape[-1]
+            u = np.array([sample_haar_unitary(r, int(i)) for i in idx])
+            padded = np.concatenate([g, np.zeros(g.shape[:-1] + (2,))], axis=-1)
+            ginibre = _wootters_factor(g, tr)
+            assert np.abs(ginibre - eigen[idx]).max() < 1e-14
+            assert np.abs(_wootters_factor(g @ u, tr) - ginibre).max() < 1e-14
+            assert np.abs(_wootters_factor(padded, tr) - ginibre).max() < 1e-14
+
+    def test_stacked_matches_per_state(self):
+        for idx, g, tr in self.FACTORS:
+            per_state = [_wootters_factor(g[j], tr[j]) for j in range(idx.size)]
+            assert np.array_equal(_wootters_factor(g, tr), per_state)
+
+    def test_pure_states(self):
+        for seed in range(200):
+            psi = sample_haar_pure(2, 2, seed)
+            c = _wootters_factor(psi.amps[:, None], 1.0)
+            assert abs(c - pure_concurrence_2q(psi)) < 1e-14
+
+    def test_werner_closed_form(self):
+        # p |psi-><psi-| + (1-p) I/4 from the Bell basis, weighted.
+        bell = np.array([singlet().amps, [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1]]).T
+        bell[:, 1:] /= math.sqrt(2.0)
+        for p in np.linspace(0.0, 1.0, 41):
+            w = np.array([p + (1.0 - p) / 4.0] + [(1.0 - p) / 4.0] * 3)
+            c = _wootters_factor(bell * np.sqrt(w), 1.0)
+            assert abs(c - werner_exact_concurrence(p)) < 1e-14
+
+    def test_x_states(self):
+        # A Cholesky factor of a positive definite X state.
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            x = TestXFormEquality.random_x_core(rng)
+            c = _wootters_factor(np.linalg.cholesky(x.as_matrix()), 1.0)
+            assert abs(c - x_concurrence(x).bound) < 1e-14
+
+
 class TestXLowerBound:
     def test_bell_equality(self):
         rep = x_lower_bound(projector(bell_phi_plus()))
@@ -261,3 +307,9 @@ class TestCertify:
             certify_from_elements(-0.1, 0.2, 0.2)
         with pytest.raises(OutOfRange):
             certify_from_elements(0.1, 1.5, 0.2)
+
+    @pytest.mark.parametrize("q14", [1e308, math.inf, math.nan, 1.0 + 2**-52])
+    def test_q14_above_one_rejected(self, q14):
+        # No element of a state exceeds 1; a margin of 1e308 would overflow.
+        with pytest.raises(OutOfRange):
+            certify_from_elements(q14, 0.5, 0.5)
