@@ -5,6 +5,9 @@ Exit codes are a stable contract:
   1  inconclusive (bound == 0)
   2  input error (malformed file, bad flags, wrong dimensions)
   3  invariant violation (a bug: a fuzz counterexample, or a bound above exact)
+
+Input rules are the library's; main maps its StateValidationError to exit 2.
+The CLI checks only its own options: --seed, bound's --dims and --steps.
 """
 from __future__ import annotations
 
@@ -67,8 +70,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_isotropic_sweep(args) -> int:
-    if args.d < 2:
-        raise StateValidationError(f"--d must be >= 2, got {args.d}")
     if args.steps < 2:
         raise StateValidationError(f"--steps must be >= 2, got {args.steps}")
     tol = _tolerances(args)
@@ -97,12 +98,7 @@ def cmd_isotropic_sweep(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.trials < 1:
-        raise StateValidationError(f"--trials must be >= 1, got {args.trials}")
-    dims = tuple(args.dims)
-    if min(dims) < 2:
-        raise StateValidationError(f"--dims must both be >= 2, got {dims[0]},{dims[1]}")
-    report = fuzz_inequality(args.trials, dims, args.seed)
+    report = fuzz_inequality(args.trials, args.dims, args.seed)
     print(report.to_json())
     if report.violations:
         return 3
@@ -110,15 +106,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_optimize_basis(args) -> int:
-    if args.restarts < 1:
-        raise StateValidationError(f"--restarts must be >= 1, got {args.restarts}")
-    q = load_density(args.input, _tolerances(args))
-    if (q.dimA, q.dimB) != (2, 2):
-        raise StateValidationError(
-            f"optimize-basis needs a two-qubit state, got dims ({q.dimA},{q.dimB})"
-        )
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    res = optimize_basis(q, cfg)
+    res = optimize_basis(load_density(args.input, _tolerances(args)), cfg)
     print(f"original_bound={res.original_bound:.9f}")
     print(f"optimized_bound={res.best_bound:.9f}")
     print(f"exact={res.exact:.9f}")

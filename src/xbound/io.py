@@ -68,8 +68,6 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
         if type(payload[key]) is not int:
             raise StateValidationError(f"{key} must be an integer, got {payload[key]!r}")
     dimA, dimB = payload["dimA"], payload["dimB"]
-    if dimA < 1 or dimB < 1:
-        raise StateValidationError(f"dims must be positive, got ({dimA},{dimB})")
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)

@@ -83,17 +83,24 @@ class PureState:
         return self.dimA * self.dimB
 
 
+def _check_dims(dimA: int, dimB: int) -> None:
+    if dimA < 1 or dimB < 1:
+        raise WrongDimensions(f"dims must be positive, got ({dimA},{dimB})")
+
+
 def validate_density(
     m: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT_TOL
 ) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; return a DensityMatrix.
 
-    Raises NonFinite for a NaN or infinite entry, and NotHermitian /
+    Raises WrongDimensions for a dim below 1 or a matrix of another shape,
+    NonFinite for a NaN or infinite entry, and NotHermitian /
     TraceNotOne / NotPositive naming the violated invariant together with the
     measured residual.  Positivity means a minimum eigenvalue >= -tol.psd; a
     Cholesky factorization settles it, and the eigenvalues are computed only
     when it fails.
     """
+    _check_dims(dimA, dimB)
     m = np.asarray(m, dtype=complex)
     d = dimA * dimB
     if m.shape != (d, d):
@@ -131,7 +138,8 @@ def validate_density(
 
 
 def pure_state(amps: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT_TOL) -> PureState:
-    """Wrap an amplitude vector as a PureState, checking shape and norm."""
+    """Wrap an amplitude vector as a PureState, checking dims, shape and norm."""
+    _check_dims(dimA, dimB)
     amps = np.asarray(amps, dtype=complex).ravel()
     if amps.size != dimA * dimB:
         raise WrongDimensions(

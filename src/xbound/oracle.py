@@ -14,14 +14,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize._lbfgsb import setulb
 
-from .errors import InvalidRank, OutOfRange
+from .errors import InvalidRank, OutOfRange, WrongDimensions
 from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _column_concurrence,
                       _pair_grid, _pair_terms, generalized_lower_bound)
 # sample_random_density is unused here, but the benchmark's fuzz-2q marks
@@ -106,10 +106,23 @@ def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, ftol: float
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of both searches; a field below its minimum raises OutOfRange."""
+
     restarts: int = 10
     max_iters: int = 2000
     seed: int = 0
     decomp_size: Optional[int] = None  # defaults to max(rank, min(rank^2, 8))
+
+    def __post_init__(self) -> None:
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0), ("decomp_size", 1)):
+            value = getattr(self, name)
+            if value is not None and not value >= low:
+                raise OutOfRange(f"{name} must be >= {low}, got {value}")
+
+
+# The fuzz's reference only needs to dominate the true concurrence, which any
+# decomposition average does, so its roof search runs lean.
+_FUZZ_ORACLE = OptimizerConfig(restarts=1, max_iters=150)
 
 
 @dataclass(frozen=True)
@@ -228,7 +241,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     else:
         m = max(r, min(r * r, 8))
     if m < r:
-        raise ValueError(f"decomposition size {m} below rank {r}")
+        raise OutOfRange(f"decomposition size {m} below rank {r}")
     n_par = 2 * m * r
 
     def objective(x: np.ndarray, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
@@ -288,19 +301,7 @@ class FuzzReport:
     oracle_tolerance: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": self.trials,
-                "dimA": self.dimA,
-                "dimB": self.dimB,
-                "seed": self.seed,
-                "violations": self.violations,
-                "max_gap": float(self.max_gap),
-                "min_slack": float(self.min_slack),
-                "oracle_tolerance": float(self.oracle_tolerance),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def fuzz_inequality(
@@ -308,7 +309,6 @@ def fuzz_inequality(
     dims: tuple[int, int],
     seed: int,
     ranks: Optional[list[int]] = None,
-    oracle_cfg: Optional[OptimizerConfig] = None,
 ) -> FuzzReport:
     """Sample random mixed states and compare the bound against a reference.
 
@@ -320,27 +320,26 @@ def fuzz_inequality(
     additionally check the signed pure-state inequality |c1| <= C.  Trial t
     always samples from SeedSequence([seed, t]), so seed must be >= 0 and
     trials in [1, 2**32] (t is one 32-bit entropy word); both raise
-    OutOfRange otherwise, and an empty ranks list raises InvalidRank.
+    OutOfRange otherwise.  A dim below 2 raises WrongDimensions and an empty
+    ranks list InvalidRank; every check comes before the first sample.
     Trials run in chunks of _FUZZ_CHUNK * 16 / (dimA dimB)^2, at least one,
     sampled stacked (linalg._trial_densities) and bounded in one
     highdim._best_margin call.  On two qubits the reference is the Wootters
     value from each trial's Ginibre factor (two_qubit._wootters_factor, one
-    call per rank), else one convex_roof_upper per trial t, seeded
-    oracle_cfg.seed + t.
+    call per rank), else one lean convex_roof_upper (_FUZZ_ORACLE) per
+    trial t, seeded t.
     """
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
     if not 1 <= trials <= 2**32:
         raise OutOfRange(f"trials must be in [1, 2**32], got {trials}")
+    dimA, dimB = dims
+    if dimA < 2 or dimB < 2:
+        raise WrongDimensions(f"dims must both be >= 2, got ({dimA},{dimB})")
     if ranks is not None and not ranks:
         raise InvalidRank("ranks must not be empty")
-    dimA, dimB = dims
     d = dimA * dimB
     two_qubit = (dimA, dimB) == (2, 2)
-    # The reference only needs to dominate the true concurrence, which any
-    # decomposition average does, so the fuzz oracle can run lean.
-    if not two_qubit and oracle_cfg is None:
-        oracle_cfg = OptimizerConfig(restarts=1, max_iters=150)
     cycle = np.asarray(ranks if ranks is not None else range(1, d + 1))
     grid = _pair_grid(dimA, dimB)
     chunk = max(1, _FUZZ_CHUNK * 16 // (d * d))
@@ -359,7 +358,7 @@ def fuzz_inequality(
             c1 = best.margins[:, 0, 0, 0]
             violations += int(np.count_nonzero((rank == 1) & (np.abs(c1) > reference + _EXACT_TOL)))
         else:
-            cfgs = (replace(oracle_cfg, seed=oracle_cfg.seed + n) for n in t.tolist())
+            cfgs = (replace(_FUZZ_ORACLE, seed=n) for n in t.tolist())
             reference = np.array([convex_roof_upper(DensityMatrix(dimA, dimB, mat), cfg).value
                                   for mat, cfg in zip(m, cfgs)])
         violations += int(np.count_nonzero(best.bound > reference + _EXACT_TOL))

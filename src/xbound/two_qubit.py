@@ -18,6 +18,8 @@ from .linalg import DensityMatrix, PureState, clipped_sqrt
 
 # The two X witnesses (c1, c2), built once: highdim._pair_grid(2, 2) is read-only.
 _X_GRID = _pair_grid(2, 2)
+# How far an X-part positivity constraint may fail before it is warned of.
+_X_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class BoundReport:
         return self.bound > 0.0
 
 
-def _require_2x2(q: DensityMatrix) -> None:
+def _require_2x2(q: DensityMatrix | PureState) -> None:
     if (q.dimA, q.dimB) != (2, 2):
         raise WrongDimensions(f"expected dims (2,2), got ({q.dimA},{q.dimB})")
 
@@ -83,16 +85,16 @@ def x_decompose(q: DensityMatrix) -> tuple[XCore, np.ndarray]:
     return x, o
 
 
-def _warn_if_x_inconsistent(m: np.ndarray, slack: float = 1e-8) -> None:
+def _warn_if_x_inconsistent(m: np.ndarray) -> None:
     """Warn if the X part of any 4x4 matrix in the (..., 4, 4) stack m is not positive.
 
     The X part of a valid state is itself a valid state; a violated
     positivity constraint here is numerical noise upstream, not an error.
     """
     d = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0)
-    if np.any(np.abs(m[..., 0, 3]) > np.sqrt(d[..., 0] * d[..., 3]) + slack):
+    if np.any(np.abs(m[..., 0, 3]) > np.sqrt(d[..., 0] * d[..., 3]) + _X_SLACK):
         warnings.warn("X-part positivity |q14| <= sqrt(d11*d44) violated beyond tolerance")
-    if np.any(np.abs(m[..., 1, 2]) > np.sqrt(d[..., 1] * d[..., 2]) + slack):
+    if np.any(np.abs(m[..., 1, 2]) > np.sqrt(d[..., 1] * d[..., 2]) + _X_SLACK):
         warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
 
 
@@ -109,8 +111,7 @@ def x_concurrence(x: XCore) -> BoundReport:
 
 def pure_concurrence_2q(psi: PureState) -> float:
     """Concurrence 2|ad - bc| of a normalized two-qubit pure state (highdim's kernel)."""
-    if (psi.dimA, psi.dimB) != (2, 2):
-        raise WrongDimensions(f"expected dims (2,2), got ({psi.dimA},{psi.dimB})")
+    _require_2x2(psi)
     return float(_column_concurrence(psi.amps[:, None], 2, 2)[0])
 
 

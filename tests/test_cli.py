@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -362,17 +363,20 @@ class TestCertify:
         assert len(lines) == 1 and lines[0].startswith("error: OutOfRange: |q14|")
 
 
-def _run_main(argv) -> tuple[int, str]:
-    """Exit code and standard error of main(argv); any exception propagates."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run_main(argv, codes) -> int:
+    """Exit code of main(argv), checked against the contract; any exception propagates.
+
+    The code must be one of codes, stderr empty or one `error:` line, and
+    stdout empty after an exit 2.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
-
-
-def _assert_clean_stderr(err: str) -> None:
-    lines = err.splitlines()
-    assert not lines or (len(lines) == 1 and lines[0].startswith("error:")), err
+    assert code in codes
+    lines = err.getvalue().splitlines()
+    assert not lines or (len(lines) == 1 and lines[0].startswith("error:")), lines
+    assert code != 2 or out.getvalue() == ""
+    return code
 
 
 cli_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -386,9 +390,7 @@ cli_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 @example(q14=0.5, d22=0.0, d33=0.0)
 @example(q14=1.0, d22=1.0, d33=1.0)
 def test_certify_exit_code_contract(q14, d22, d33):
-    code, err = _run_main(["certify", f"--q14={q14!r}", f"--d22={d22!r}", f"--d33={d33!r}"])
-    assert code in (0, 1, 2)
-    _assert_clean_stderr(err)
+    _run_main(["certify", f"--q14={q14!r}", f"--d22={d22!r}", f"--d33={d33!r}"], (0, 1, 2))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -402,10 +404,49 @@ def test_certify_exit_code_contract(q14, d22, d33):
 @example(trials=-2, dims=(2, 2), seed=0)
 @example(trials=4, dims=(2, 2), seed=-2)
 def test_fuzz_exit_code_contract(trials, dims, seed):
-    code, err = _run_main([f"--seed={seed}", "fuzz", f"--trials={trials}",
-                           f"--dims={dims[0]},{dims[1]}"])
-    assert code in (0, 2)
-    _assert_clean_stderr(err)
+    _run_main([f"--seed={seed}", "fuzz", f"--trials={trials}", f"--dims={dims[0]},{dims[1]}"],
+              (0, 2))
+
+
+# A Bell state in a random local basis, and a 3x3 state that optimize-basis
+# does not take.
+ROTATED_BELL = conjugate_by_local_unitary(projector(bell_phi_plus()), sample_haar_unitary(2, 11),
+                                          sample_haar_unitary(2, 12))
+BASIS_INPUTS = {"bell": ROTATED_BELL, "3x3": maximally_mixed(3, 3)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(state=st.sampled_from(sorted(BASIS_INPUTS)), restarts=st.integers(-2, 3),
+       seed=st.integers(-2, 3))
+@example(state="bell", restarts=0, seed=0)
+@example(state="bell", restarts=1, seed=-1)
+@example(state="3x3", restarts=2, seed=1)
+@example(state="bell", restarts=3, seed=3)
+def test_optimize_basis_exit_code_contract(state, restarts, seed):
+    # Exit 2 exactly for a bad input, which leaves no output behind.
+    bad = state == "3x3" or restarts < 1 or seed < 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "state.json", Path(tmp) / "u.json"
+        save_density(BASIS_INPUTS[state], path)
+        code = _run_main([f"--seed={seed}", "optimize-basis", str(path),
+                          f"--restarts={restarts}", "--out", str(out)], (2,) if bad else (0,))
+        assert sorted(p.name for p in Path(tmp).iterdir()) == (
+            ["state.json"] if code == 2 else ["state.json", "u.json", "u.json.manifest.json"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(-1, 4), steps=st.integers(-1, 4))
+@example(d=1, steps=5)
+@example(d=0, steps=1)
+@example(d=4, steps=2)
+def test_isotropic_sweep_exit_code_contract(d, steps):
+    bad = d < 2 or steps < 2
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        code = _run_main(["isotropic-sweep", f"--d={d}", f"--steps={steps}", "--out", str(out)],
+                         (2,) if bad else (0,))
+        assert sorted(p.name for p in Path(tmp).iterdir()) == (
+            [] if code == 2 else ["sweep.csv", "sweep.csv.manifest.json"])
 
 
 class TestIsotropicSweep:

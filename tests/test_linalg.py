@@ -67,6 +67,12 @@ class TestValidateDensity:
         with pytest.raises(WrongDimensions):
             validate_density(np.eye(3) / 3, 2, 2)
 
+    def test_non_positive_dims_rejected(self):
+        # (-2) * (-2) = 4 would match the shape of a valid 4x4 state.
+        for dims in ((-2, -2), (0, 2), (2, 0)):
+            with pytest.raises(WrongDimensions, match="dims must be positive"):
+                validate_density(np.eye(4) / 4, *dims)
+
     def test_accepts_sampled_states_many_seeds(self):
         for seed in range(1000):
             q = sample_random_density(2, 2, seed % 4 + 1, seed)
@@ -129,6 +135,11 @@ class TestPureState:
         assert issubclass(errors.StateNormError, errors.TraceNotOne)
         with pytest.raises(errors.StateNormError):
             pure_state(np.array([1.0, 0.0, 0.0, 1.0]), 2, 2)
+
+    def test_non_positive_dims_rejected(self):
+        for dims in ((-2, -2), (0, 2)):
+            with pytest.raises(WrongDimensions, match="dims must be positive"):
+                pure_state(np.ones(4) / 2, *dims)
 
 
 class TestPartialTrace:

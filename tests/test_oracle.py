@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from itertools import product
 
@@ -12,6 +13,7 @@ from xbound import (
     InvariantViolation,
     OutOfRange,
     OptimizerConfig,
+    WrongDimensions,
     conjugate_by_local_unitary,
     convex_roof_upper,
     fuzz_inequality,
@@ -98,6 +100,15 @@ def fuzz_report_2q(trials, seed, per_trial):
                       max_gap=max(slacks), min_slack=min(slacks), oracle_tolerance=1e-10)
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make every sampler of the fuzz fail the test if it is called."""
+    def fail(*args):
+        raise AssertionError("sampled before the inputs were checked")
+    monkeypatch.setattr(oracle, "_trial_densities", fail)
+    monkeypatch.setattr(oracle, "sample_random_density", fail)
+
+
 def random_product_mixture(seed, terms=4):
     rng = np.random.default_rng(seed)
     m = np.zeros((4, 4), dtype=complex)
@@ -108,6 +119,18 @@ def random_product_mixture(seed, terms=4):
         m += rng.uniform(0.1, 1.0) * np.outer(v, v.conj())
     m /= np.trace(m).real
     return validate_density(m, 2, 2)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("restarts", 0), ("restarts", -3), ("max_iters", 0), ("seed", -1),
+        ("decomp_size", 0), ("decomp_size", -2),
+    ])
+    def test_out_of_range(self, field, value):
+        with pytest.raises(OutOfRange, match=f"{field} must be >= "):
+            OptimizerConfig(**{field: value})
+        with pytest.raises(OutOfRange, match=f"{field} must be >= "):
+            dataclasses.replace(OptimizerConfig(), **{field: value})
 
 
 class TestConvexRoof:
@@ -163,6 +186,15 @@ class TestConvexRoof:
         assert np.abs(iso - q * np.where(np.diag(t).real < 0.0, -1.0, 1.0)).max() <= 1e-12
         if start != "random":
             assert np.abs(iso - np.eye(m, r)).max() <= 1e-8
+
+    def test_decomposition_below_rank(self, monkeypatch):
+        # An input error, raised before any search.
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before decomp_size was checked")
+        monkeypatch.setattr(oracle, "minimize", no_search)
+        q = sample_random_density(2, 2, 3, 1)
+        with pytest.raises(OutOfRange, match="decomposition size 2 below rank 3"):
+            convex_roof_upper(q, OptimizerConfig(decomp_size=2))
 
     def test_keeps_best_stage(self, monkeypatch):
         # A final stage that ends above the 1e-6 stage must not replace its
@@ -363,16 +395,17 @@ class TestFuzz:
         with pytest.raises(OutOfRange):
             fuzz_inequality(3, dims, -1)
 
-    def test_trial_limit(self, monkeypatch):
+    def test_trial_limit(self, no_sampling):
         # Trial t is one 32-bit entropy word; the limit is checked before any
         # trial is sampled.
-        def no_sampling(*args):
-            raise AssertionError("sampled before the trial count was checked")
-        monkeypatch.setattr(oracle, "_trial_densities", no_sampling)
-        monkeypatch.setattr(oracle, "sample_random_density", no_sampling)
         for trials, dims in product((2**32 + 1, 0, -5), ((2, 2), (3, 3))):
             with pytest.raises(OutOfRange):
                 fuzz_inequality(trials, dims, 0)
+
+    @pytest.mark.parametrize("dims", [(0, 2), (-1, 2), (1, 2), (2, -3)])
+    def test_dims_below_two(self, no_sampling, dims):
+        with pytest.raises(WrongDimensions):
+            fuzz_inequality(3, dims, 0)
 
     @pytest.mark.parametrize("ranks,dims", [([0], (2, 2)), ([5], (2, 2)), ([], (2, 2)),
                                             ([], (3, 3))])
