@@ -64,10 +64,6 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
     for key in ("dimA", "dimB", "re", "im"):
         if key not in payload:
             raise StateValidationError(f"missing required key {key!r}")
-    for key in ("dimA", "dimB"):
-        if type(payload[key]) is not int:
-            raise StateValidationError(f"{key} must be an integer, got {payload[key]!r}")
-    dimA, dimB = payload["dimA"], payload["dimB"]
     try:
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
@@ -82,7 +78,7 @@ def load_density(path: str | Path, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
     # Each part as it stands: a zero keeps its sign, a non-finite part is rejected.
     mat = np.empty(re.shape, dtype=complex)
     mat.real, mat.imag = re, im
-    return validate_density(mat, dimA, dimB, tol)
+    return validate_density(mat, payload["dimA"], payload["dimB"], tol)
 
 
 def save_density(q: DensityMatrix, path: str | Path) -> None:

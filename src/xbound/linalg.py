@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
@@ -59,15 +59,61 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated bipartite density matrix of shape (dimA*dimB, dimA*dimB)."""
+    """Bipartite density matrix of shape (dimA*dimB, dimA*dimB), validated on construction.
+
+    Raises WrongDimensions for a non-integer dim, one below 1 or a matrix of
+    another shape, NonFinite for a NaN or infinite entry, and NotHermitian /
+    TraceNotOne / NotPositive with the measured residual, at the tolerances
+    in tol.  Positivity is a minimum eigenvalue >= -tol.psd; a Cholesky
+    factorization settles it, and eigenvalues are computed only when it
+    fails.  The state keeps a read-only complex copy of mat, and int dims.
+    """
 
     dimA: int
     dimB: int
     mat: np.ndarray
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    @property
-    def dim(self) -> int:
-        return self.dimA * self.dimB
+    def __post_init__(self, tol: Tolerances) -> None:
+        _check_dims(self.dimA, self.dimB)
+        dimA, dimB = int(self.dimA), int(self.dimB)  # a numpy integer is stored as an int
+        m = np.array(self.mat, dtype=complex)
+        d = dimA * dimB
+        if m.shape != (d, d):
+            raise WrongDimensions(
+                f"expected a {d}x{d} matrix for dims ({dimA},{dimB}), got {m.shape}"
+            )
+        if not np.isfinite(m).all():
+            raise NonFinite("matrix contains non-finite entries")
+        # On m scaled down by a power of two above 2d (exact) no residual overflows,
+        # which numpy would warn of; Python floats scale it back up silently.
+        scale = 2.0 ** (2 * d).bit_length()
+        ms = m / scale
+        herm_resid = float(np.abs(ms - ms.conj().T).max()) * scale
+        if herm_resid > tol.herm:
+            raise NotHermitian(f"Hermiticity residual {herm_resid:.3e} > {tol.herm:.1e}")
+        tr_resid = float(abs(ms.trace() - 1.0 / scale)) * scale
+        if tr_resid > tol.trace:
+            raise TraceNotOne(f"trace deviates from 1 by {tr_resid:.3e} > {tol.trace:.1e}")
+        h = m / 2 + m.conj().T / 2  # cannot overflow; (m + mh) / 2 on normal entries
+        # h + s·I has a Cholesky factor iff lambda_min(h) > -s.  With s = psd/2
+        # the other half of the tolerance covers the rounding of the factorization
+        # and of eigvalsh (of order d·eps·|h|, 1e-14 at d = 64), so every state
+        # accepted here has an eigvalsh minimum >= -psd; the rest, and every
+        # state near the boundary, are decided by that eigenvalue.
+        try:
+            np.linalg.cholesky(h + tol.psd / 2 * np.eye(d))
+        except np.linalg.LinAlgError:
+            try:
+                lam = np.linalg.eigvalsh(h).min()
+            except np.linalg.LinAlgError as exc:  # eigvalsh did not converge
+                raise NotPositive(f"eigenvalues not computable: {exc}") from exc
+            if not lam >= -tol.psd:  # a NaN minimum is rejected too
+                raise NotPositive(f"minimum eigenvalue {lam:.3e} < -{tol.psd:.1e}")
+        m.flags.writeable = False
+        object.__setattr__(self, "dimA", dimA)
+        object.__setattr__(self, "dimB", dimB)
+        object.__setattr__(self, "mat", m)
 
 
 @dataclass(frozen=True)
@@ -78,12 +124,16 @@ class PureState:
     dimB: int
     amps: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.dimA * self.dimB
+
+def _check_int(name: str, value, error: type) -> None:
+    """Raise error unless value is an int or a numpy integer; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _check_dims(dimA: int, dimB: int) -> None:
+    _check_int("dimA", dimA, WrongDimensions)
+    _check_int("dimB", dimB, WrongDimensions)
     if dimA < 1 or dimB < 1:
         raise WrongDimensions(f"dims must be positive, got ({dimA},{dimB})")
 
@@ -91,50 +141,8 @@ def _check_dims(dimA: int, dimB: int) -> None:
 def validate_density(
     m: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT_TOL
 ) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity; return a DensityMatrix.
-
-    Raises WrongDimensions for a dim below 1 or a matrix of another shape,
-    NonFinite for a NaN or infinite entry, and NotHermitian /
-    TraceNotOne / NotPositive naming the violated invariant together with the
-    measured residual.  Positivity means a minimum eigenvalue >= -tol.psd; a
-    Cholesky factorization settles it, and the eigenvalues are computed only
-    when it fails.
-    """
-    _check_dims(dimA, dimB)
-    m = np.asarray(m, dtype=complex)
-    d = dimA * dimB
-    if m.shape != (d, d):
-        raise WrongDimensions(
-            f"expected a {d}x{d} matrix for dims ({dimA},{dimB}), got {m.shape}"
-        )
-    if not np.isfinite(m).all():
-        raise NonFinite("matrix contains non-finite entries")
-    # On m scaled down by a power of two above 2d (exact) no residual overflows,
-    # which numpy would warn of; Python floats scale it back up silently.
-    scale = 2.0 ** (2 * d).bit_length()
-    ms = m / scale
-    herm_resid = float(np.abs(ms - ms.conj().T).max()) * scale
-    if herm_resid > tol.herm:
-        raise NotHermitian(f"Hermiticity residual {herm_resid:.3e} > {tol.herm:.1e}")
-    tr_resid = float(abs(ms.trace() - 1.0 / scale)) * scale
-    if tr_resid > tol.trace:
-        raise TraceNotOne(f"trace deviates from 1 by {tr_resid:.3e} > {tol.trace:.1e}")
-    h = m / 2 + m.conj().T / 2  # cannot overflow; (m + mh) / 2 on normal entries
-    # h + s·I has a Cholesky factor iff lambda_min(h) > -s.  With s = psd/2
-    # the other half of the tolerance covers the rounding of the factorization
-    # and of eigvalsh (of order d·eps·|h|, 1e-14 at d = 64), so every state
-    # accepted here has an eigvalsh minimum >= -psd; the rest, and every
-    # state near the boundary, are decided by that eigenvalue.
-    try:
-        np.linalg.cholesky(h + tol.psd / 2 * np.eye(d))
-    except np.linalg.LinAlgError:
-        try:
-            lam = np.linalg.eigvalsh(h).min()
-        except np.linalg.LinAlgError as exc:  # eigvalsh did not converge
-            raise NotPositive(f"eigenvalues not computable: {exc}") from exc
-        if not lam >= -tol.psd:  # a NaN minimum is rejected too
-            raise NotPositive(f"minimum eigenvalue {lam:.3e} < -{tol.psd:.1e}")
-    return DensityMatrix(dimA=dimA, dimB=dimB, mat=m)
+    """Check m as a state of dims (dimA, dimB) and return it: DensityMatrix(dimA, dimB, m, tol)."""
+    return DensityMatrix(dimA, dimB, m, tol)
 
 
 def pure_state(amps: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT_TOL) -> PureState:
@@ -154,7 +162,7 @@ def pure_state(amps: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT
 def projector(psi: PureState) -> DensityMatrix:
     """Density matrix |psi><psi| of a pure state."""
     m = np.outer(psi.amps, psi.amps.conj())
-    return DensityMatrix(dimA=psi.dimA, dimB=psi.dimB, mat=m)
+    return DensityMatrix(psi.dimA, psi.dimB, m)
 
 
 def partial_trace_B(q: DensityMatrix) -> np.ndarray:
@@ -177,6 +185,7 @@ def _ginibre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _check_ranks(ranks, d: int) -> None:
     for rank in ranks:
+        _check_int("rank", rank, InvalidRank)
         if not 1 <= rank <= d:
             raise InvalidRank(f"rank must be in [1, {d}], got {rank}")
 
@@ -188,10 +197,11 @@ def sample_random_density(dimA: int, dimB: int, rank: int, seed) -> DensityMatri
     and the state is G G^dag / Tr[G G^dag].  Deterministic for a fixed seed,
     which may be anything np.random.default_rng accepts.
     """
+    _check_dims(dimA, dimB)
     d = dimA * dimB
     _check_ranks([rank], d)
     x = np.random.default_rng(seed).standard_normal((1, 2, d, rank))
-    return DensityMatrix(dimA=dimA, dimB=dimB, mat=_ginibre(x)[0][0])
+    return DensityMatrix(dimA, dimB, _ginibre(x)[0][0])
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
@@ -342,9 +352,9 @@ def conjugate_by_local_unitary(
         if resid > tol.unitary:
             raise NotUnitary(f"{name} unitarity residual {resid:.3e} > {tol.unitary:.1e}")
     u = _local_product(uA, uB)
-    return DensityMatrix(dimA=q.dimA, dimB=q.dimB, mat=u @ q.mat @ u.conj().T)
+    return DensityMatrix(q.dimA, q.dimB, u @ q.mat @ u.conj().T, tol)
 
 
-def clipped_sqrt(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def clipped_sqrt(x: np.ndarray) -> np.ndarray:
     """Square root with small negatives (roundoff) clipped to zero first."""
-    return np.sqrt(np.clip(x, floor, None))
+    return np.sqrt(np.clip(x, 0.0, None))

@@ -26,9 +26,9 @@ from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _colum
                       _pair_grid, _pair_terms, generalized_lower_bound)
 # sample_random_density is unused here, but the benchmark's fuzz-2q marks
 # replace it in this module by name, so it stays importable from it.
-from .linalg import (DensityMatrix, PureState, _local_product, _trial_densities,  # noqa: F401
-                     sample_random_density)
-from .two_qubit import _warn_if_x_inconsistent, _wootters_factor, wootters_concurrence
+from .linalg import (DensityMatrix, PureState, _check_int,  # noqa: F401
+                     _local_product, _trial_densities, sample_random_density)
+from .two_qubit import _wootters_factor, wootters_concurrence
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
@@ -106,7 +106,7 @@ def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, ftol: float
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of both searches; a field below its minimum raises OutOfRange."""
+    """Settings of both searches; a field not an integer or below its minimum raises OutOfRange."""
 
     restarts: int = 10
     max_iters: int = 2000
@@ -116,8 +116,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0), ("decomp_size", 1)):
             value = getattr(self, name)
-            if value is not None and not value >= low:
-                raise OutOfRange(f"{name} must be >= {low}, got {value}")
+            if value is not None:
+                _check_int(name, value, OutOfRange)
+                if value < low:
+                    raise OutOfRange(f"{name} must be >= {low}, got {value}")
 
 
 # The fuzz's reference only needs to dominate the true concurrence, which any
@@ -318,22 +320,26 @@ def fuzz_inequality(
     slack, so the tolerance is _EXACT_TOL.  Ranks cycle through
     1..dimA*dimB unless an explicit list is given.  Rank-1 two-qubit trials
     additionally check the signed pure-state inequality |c1| <= C.  Trial t
-    always samples from SeedSequence([seed, t]), so seed must be >= 0 and
-    trials in [1, 2**32] (t is one 32-bit entropy word); both raise
-    OutOfRange otherwise.  A dim below 2 raises WrongDimensions and an empty
-    ranks list InvalidRank; every check comes before the first sample.
-    Trials run in chunks of _FUZZ_CHUNK * 16 / (dimA dimB)^2, at least one,
-    sampled stacked (linalg._trial_densities) and bounded in one
-    highdim._best_margin call.  On two qubits the reference is the Wootters
-    value from each trial's Ginibre factor (two_qubit._wootters_factor, one
-    call per rank), else one lean convex_roof_upper (_FUZZ_ORACLE) per
-    trial t, seeded t.
+    always samples from SeedSequence([seed, t]), so seed must be an integer
+    >= 0 and trials an integer in [1, 2**32] (t is one 32-bit entropy word);
+    both raise OutOfRange otherwise.  A non-integer dim or one below 2 raises
+    WrongDimensions and an empty ranks list InvalidRank; every check comes
+    before the first sample.  Trials run in chunks of _FUZZ_CHUNK * 16 /
+    (dimA dimB)^2, at least one, sampled stacked (linalg._trial_densities)
+    and bounded in one highdim._best_margin call.  On two qubits the
+    reference is the Wootters value from each trial's Ginibre factor
+    (two_qubit._wootters_factor, one call per rank), else one lean
+    convex_roof_upper (_FUZZ_ORACLE) per trial t, seeded t.
     """
+    dimA, dimB = dims
+    _check_int("seed", seed, OutOfRange)
+    _check_int("trials", trials, OutOfRange)
+    _check_int("dimA", dimA, WrongDimensions)
+    _check_int("dimB", dimB, WrongDimensions)
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
     if not 1 <= trials <= 2**32:
         raise OutOfRange(f"trials must be in [1, 2**32], got {trials}")
-    dimA, dimB = dims
     if dimA < 2 or dimB < 2:
         raise WrongDimensions(f"dims must both be >= 2, got ({dimA},{dimB})")
     if ranks is not None and not ranks:
@@ -350,7 +356,6 @@ def fuzz_inequality(
         m, factors = _trial_densities(dimA, dimB, seed, start, rank)
         best = _best_margin(m, dimA, dimB, grid)
         if two_qubit:
-            _warn_if_x_inconsistent(m)
             reference = np.empty(t.size)
             for idx, g, tr in factors:
                 reference[idx] = _wootters_factor(g, tr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState, _check_int
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class IsotropicState:
     F: float
 
     def __post_init__(self) -> None:
+        _check_int("d", self.d, OutOfRange)
         if self.d < 2:
             raise OutOfRange(f"d must be >= 2, got {self.d}")
         if not 0.0 <= self.F <= 1.0:
@@ -42,7 +43,7 @@ def isotropic_matrix(s: IsotropicState) -> DensityMatrix:
     proj = np.outer(psi, psi.conj())
     a = (1.0 - s.F) / (d * d - 1.0)
     m = a * (np.eye(d * d) - proj) + s.F * proj
-    return DensityMatrix(dimA=d, dimB=d, mat=m)
+    return DensityMatrix(d, d, m)
 
 
 def isotropic_exact_concurrence(s: IsotropicState) -> float:
@@ -83,7 +84,7 @@ def werner_state(p: float) -> DensityMatrix:
         raise OutOfRange(f"p must lie in [0, 1], got {p}")
     psi = singlet().amps
     m = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(dimA=2, dimB=2, mat=m.astype(complex))
+    return DensityMatrix(2, 2, m)
 
 
 def werner_exact_concurrence(p: float) -> float:
@@ -96,4 +97,4 @@ def werner_exact_concurrence(p: float) -> float:
 def maximally_mixed(dimA: int, dimB: int) -> DensityMatrix:
     """I/(dimA*dimB)."""
     d = dimA * dimB
-    return DensityMatrix(dimA=dimA, dimB=dimB, mat=np.eye(d, dtype=complex) / d)
+    return DensityMatrix(dimA, dimB, np.eye(d) / d)

@@ -5,7 +5,6 @@ consists of the diagonal plus the (0,3) and (1,2) coherences (and conjugates).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -18,8 +17,6 @@ from .linalg import DensityMatrix, PureState, clipped_sqrt
 
 # The two X witnesses (c1, c2), built once: highdim._pair_grid(2, 2) is read-only.
 _X_GRID = _pair_grid(2, 2)
-# How far an X-part positivity constraint may fail before it is warned of.
-_X_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,22 +77,7 @@ def x_decompose(q: DensityMatrix) -> tuple[XCore, np.ndarray]:
         q14=m[0, 3],
         q23=m[1, 2],
     )
-    o = np.where(_X_MASK, 0.0, m)
-    _warn_if_x_inconsistent(m)
-    return x, o
-
-
-def _warn_if_x_inconsistent(m: np.ndarray) -> None:
-    """Warn if the X part of any 4x4 matrix in the (..., 4, 4) stack m is not positive.
-
-    The X part of a valid state is itself a valid state; a violated
-    positivity constraint here is numerical noise upstream, not an error.
-    """
-    d = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0)
-    if np.any(np.abs(m[..., 0, 3]) > np.sqrt(d[..., 0] * d[..., 3]) + _X_SLACK):
-        warnings.warn("X-part positivity |q14| <= sqrt(d11*d44) violated beyond tolerance")
-    if np.any(np.abs(m[..., 1, 2]) > np.sqrt(d[..., 1] * d[..., 2]) + _X_SLACK):
-        warnings.warn("X-part positivity |q23| <= sqrt(d22*d33) violated beyond tolerance")
+    return x, np.where(_X_MASK, 0.0, m)
 
 
 def x_concurrence(x: XCore) -> BoundReport:

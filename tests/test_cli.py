@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import xbound
 from xbound import (
-    DensityMatrix,
     InvariantViolation,
     IsotropicState,
     conjugate_by_local_unitary,
@@ -47,6 +46,13 @@ def run_cli(*args):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "xbound.cli", *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def write_matrix(path, m, dims=(2, 2)):
+    """Write m as a state file as it stands, valid or not, without making a state."""
+    m = np.asarray(m, dtype=complex)
+    path.write_text(json.dumps({"dimA": dims[0], "dimB": dims[1],
+                                "re": m.real.tolist(), "im": m.imag.tolist()}))
 
 
 @pytest.fixture
@@ -97,11 +103,7 @@ class TestBound:
 
     def test_not_a_state(self, tmp_path, capsys):
         path = tmp_path / "neg.json"
-        m = np.diag([1.0, 1.0, -1.0, 0.0]).astype(complex)
-        path.write_text(json.dumps({
-            "dimA": 2, "dimB": 2,
-            "re": m.real.tolist(), "im": m.imag.tolist(),
-        }))
+        write_matrix(path, np.diag([1.0, 1.0, -1.0, 0.0]))
         code = main(["bound", str(path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -143,9 +145,9 @@ class TestBound:
         # The parser is built once per process; each call must still start
         # from the defaults.
         path = tmp_path / "loose.json"
-        m = maximally_mixed(2, 2).mat.copy()
+        m = np.eye(4) / 4
         m[0, 0] += 1e-4  # trace off by 1e-4: accepted at --tol 1e-3 only
-        save_density(DensityMatrix(2, 2, m), path)
+        write_matrix(path, m)
         assert main(["--tol", "1e-3", "bound", str(path), "--dims", "2,2"]) == 1
         capsys.readouterr()
         assert main(["bound", str(path)]) == 2
@@ -160,9 +162,9 @@ class TestBound:
 
     def test_non_finite_entry(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
-        m = maximally_mixed(2, 2).mat.copy()
+        m = np.eye(4) / 4
         m[1, 2] = np.nan
-        save_density(DensityMatrix(2, 2, m), path)
+        write_matrix(path, m)
         code = main(["bound", str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: NonFinite:")
@@ -200,6 +202,16 @@ class TestBound:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("key,value", [("dimA", 2.0), ("dimB", True), ("dimA", "2")])
+    def test_non_integer_dims(self, tmp_path, capsys, key, value):
+        path = tmp_path / "dims.json"
+        doc = {"dimA": 2, "dimB": 2, "re": (np.eye(4) / 4).tolist(), "im": [[0.0] * 4] * 4}
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: WrongDimensions: {key} must be an integer, got {value!r}\n")
 
     def test_deep_document_does_not_crash(self, tmp_path):
         # orjson 3.8 overflows the C stack on a document a million levels

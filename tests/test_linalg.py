@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xbound
 from xbound import (
+    DensityMatrix,
     InvalidRank,
     NonFinite,
     NotHermitian,
@@ -20,9 +25,16 @@ from xbound import (
     validate_density,
 )
 from xbound import errors, linalg
+from xbound.io import load_density, save_density
 from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.oracle import _FUZZ_CHUNK
-from xbound.reference_states import bell_phi_plus
+from xbound.reference_states import (
+    IsotropicState,
+    bell_phi_plus,
+    isotropic_matrix,
+    maximally_mixed,
+    werner_state,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -72,6 +84,16 @@ class TestValidateDensity:
         for dims in ((-2, -2), (0, 2), (2, 0)):
             with pytest.raises(WrongDimensions, match="dims must be positive"):
                 validate_density(np.eye(4) / 4, *dims)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2.0), (2, 2.0), (True, 4), ("2", 2), (None, 2)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(WrongDimensions, match="must be an integer"):
+            validate_density(np.eye(4) / 4, *dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        q = validate_density(np.eye(6) / 6, np.int64(2), np.int32(3))
+        assert (q.dimA, q.dimB) == (2, 3)
+        assert type(q.dimA) is type(q.dimB) is int
 
     def test_accepts_sampled_states_many_seeds(self):
         for seed in range(1000):
@@ -141,6 +163,121 @@ class TestPureState:
             with pytest.raises(WrongDimensions, match="dims must be positive"):
                 pure_state(np.ones(4) / 2, *dims)
 
+    def test_non_integer_dims_rejected(self):
+        with pytest.raises(WrongDimensions, match="dimA must be an integer, got 2.0"):
+            pure_state(np.ones(4) / 2, 2.0, 2.0)
+
+
+def states_of_every_constructor(tmp_path):
+    """A state from each public function that returns one, by name."""
+    path = tmp_path / "state.json"
+    save_density(maximally_mixed(2, 2), path)
+    q = sample_random_density(2, 2, 3, 0)
+    return {
+        "validate_density": validate_density(np.eye(4) / 4, 2, 2),
+        "projector": projector(bell_phi_plus()),
+        "sample_random_density": q,
+        "conjugate_by_local_unitary": conjugate_by_local_unitary(
+            q, sample_haar_unitary(2, 1), sample_haar_unitary(2, 2)),
+        "maximally_mixed": maximally_mixed(3, 2),
+        "isotropic_matrix": isotropic_matrix(IsotropicState(3, 0.5)),
+        "werner_state": werner_state(0.5),
+        "load_density": load_density(path),
+    }
+
+
+class TestDensityMatrix:
+    """Constructing a DensityMatrix validates it, and its matrix cannot change after."""
+
+    def test_direct_construction_validates(self):
+        with pytest.raises(TraceNotOne):
+            DensityMatrix(2, 2, 5 * np.eye(4))
+        with pytest.raises(NotPositive):
+            DensityMatrix(2, 2, np.diag([1.0, 1.0, -1.0, 0.0]))
+        with pytest.raises(WrongDimensions):
+            DensityMatrix(2, 3, np.eye(4) / 4)
+
+    def test_tolerance_is_passed_on(self):
+        m = np.eye(4) / 4
+        m[0, 0] += 1e-4
+        with pytest.raises(TraceNotOne):
+            DensityMatrix(2, 2, m)
+        loose = Tolerances.uniform(1e-3)
+        q = DensityMatrix(2, 2, m, loose)
+        assert q.mat[0, 0] == m[0, 0]
+        assert conjugate_by_local_unitary(q, SX, np.eye(2), loose).mat[0, 0] == 0.25
+        with pytest.raises(TraceNotOne):
+            conjugate_by_local_unitary(q, SX, np.eye(2))
+
+    def test_replace_validates(self):
+        q = maximally_mixed(2, 2)
+        with pytest.raises(TraceNotOne):
+            dataclasses.replace(q, mat=5 * np.eye(4))
+        with pytest.raises(WrongDimensions):
+            dataclasses.replace(q, dimA=3)
+
+    def test_matrix_is_a_read_only_copy(self):
+        m = np.eye(4, dtype=complex) / 4
+        q = DensityMatrix(2, 2, m)
+        assert not q.mat.flags.writeable
+        with pytest.raises(ValueError):
+            q.mat[0, 0] = 5.0
+        assert m.flags.writeable
+        m[0, 0] = 5.0  # the caller's array stays the caller's
+        assert q.mat[0, 0] == 0.25
+
+    def test_every_constructor_returns_a_read_only_state(self, tmp_path):
+        for name, q in states_of_every_constructor(tmp_path).items():
+            assert isinstance(q, DensityMatrix), name
+            assert not q.mat.flags.writeable, name
+            assert q.mat.dtype == complex, name
+
+    def test_each_state_is_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            lambda self, tol: calls.append(1) or check(self, tol))
+        states = states_of_every_constructor(tmp_path)
+        # sample_random_density's state is built once, then conjugated once.
+        assert len(calls) == len(states) + 1
+
+
+# Mostly invalid dims; a numpy integer is a valid one.
+odd_dims = st.sampled_from([-1, 0, 5, 2.0, True, np.int64(2), "2", None])
+
+
+@st.composite
+def candidates(draw):
+    """(m, dimA, dimB): a Ginibre state, often with a perturbed entry or an odd dimA."""
+    dA, dB = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d = dA * dB
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((d, draw(st.integers(1, d)), 2)) @ [1, 1j]
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        m[i, j] += draw(st.sampled_from([1e-9, -1e-7, 1e-3j, 0.5, np.nan, np.inf]))
+    if draw(st.integers(0, 3)) == 0:
+        dA = draw(odd_dims)
+    return m, dA, dB
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=candidates(),
+       tol=st.sampled_from([DEFAULT_TOL, Tolerances.uniform(1e-6), Tolerances.uniform(1e-2)]))
+def test_constructor_and_validate_density_agree(case, tol):
+    m, dA, dB = case
+    outcomes = []
+    for build in (lambda: DensityMatrix(dA, dB, m, tol), lambda: validate_density(m, dA, dB, tol)):
+        try:
+            q = build()
+        except errors.StateValidationError as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(q.mat.tobytes())
+    assert outcomes[0] == outcomes[1]
+
 
 class TestPartialTrace:
     def test_maximally_mixed(self):
@@ -187,6 +324,12 @@ class TestSampling:
         for ranks in ([2, 5], [0, 1]):
             with pytest.raises(InvalidRank):
                 linalg._trial_densities(2, 2, 0, 0, ranks)
+
+    def test_non_integer_rank_and_dims(self):
+        with pytest.raises(InvalidRank, match="rank must be an integer, got 2.0"):
+            sample_random_density(2, 2, 2.0, 1)
+        with pytest.raises(WrongDimensions, match="dimB must be an integer"):
+            sample_random_density(2, 2.0, 2, 1)
 
     @pytest.mark.parametrize("rank", [1, 4, 9])
     def test_matches_two_draw_formula(self, rank):

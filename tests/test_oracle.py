@@ -132,6 +132,19 @@ class TestOptimizerConfig:
         with pytest.raises(OutOfRange, match=f"{field} must be >= "):
             dataclasses.replace(OptimizerConfig(), **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("restarts", 2.5), ("restarts", 2.0), ("max_iters", True), ("seed", "1"),
+        ("decomp_size", 4.0),
+    ])
+    def test_non_integer(self, field, value):
+        with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+        with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
+            dataclasses.replace(OptimizerConfig(), **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(1))
+
 
 class TestConvexRoof:
     def test_rank_one_is_exact(self):
@@ -406,6 +419,19 @@ class TestFuzz:
     def test_dims_below_two(self, no_sampling, dims):
         with pytest.raises(WrongDimensions):
             fuzz_inequality(3, dims, 0)
+
+    @pytest.mark.parametrize("trials,dims,seed,error", [
+        (10, (2, 2), 2.5, OutOfRange), (10.0, (2, 2), 1, OutOfRange),
+        (10, (2, 2), True, OutOfRange), (10, (2.0, 2), 1, WrongDimensions),
+        (10, (3, 3.0), 1, WrongDimensions), (10, (2, 2), None, OutOfRange),
+    ])
+    def test_non_integer_inputs(self, no_sampling, trials, dims, seed, error):
+        with pytest.raises(error, match="must be an integer"):
+            fuzz_inequality(trials, dims, seed)
+
+    def test_non_integer_rank(self):
+        with pytest.raises(InvalidRank, match="rank must be an integer"):
+            fuzz_inequality(3, (2, 2), 0, [1.5])
 
     @pytest.mark.parametrize("ranks,dims", [([0], (2, 2)), ([5], (2, 2)), ([], (2, 2)),
                                             ([], (3, 3))])

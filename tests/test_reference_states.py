@@ -46,6 +46,8 @@ class TestIsotropicMatrix:
             IsotropicState(d=1, F=0.5)
         with pytest.raises(OutOfRange):
             IsotropicState(d=3, F=1.5)
+        with pytest.raises(OutOfRange, match="d must be an integer"):
+            IsotropicState(d=2.5, F=0.5)
 
 
 class TestIsotropicClosedForms:

@@ -1,11 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from xbound import (
-    DensityMatrix,
     OutOfRange,
     WrongDimensions,
     XCore,
@@ -32,7 +30,7 @@ from xbound.reference_states import (
     werner_state,
 )
 from xbound.linalg import _trial_densities
-from xbound.two_qubit import _warn_if_x_inconsistent, _wootters, _wootters_factor
+from xbound.two_qubit import _wootters, _wootters_factor
 
 CHI_C = 0.5 - math.sqrt(2.0) / 3.0  # 2|alpha*delta - beta*gamma| for chi
 
@@ -73,23 +71,6 @@ class TestXDecompose:
     def test_wrong_dims_rejected(self):
         with pytest.raises(WrongDimensions):
             x_decompose(maximally_mixed(3, 3))
-
-    def test_positivity_warning(self):
-        # Not a state: |q14| = 0.5 > sqrt(d11 d44) = 0.25.
-        m = np.eye(4, dtype=complex) / 4
-        m[0, 3] = m[3, 0] = 0.5
-        with pytest.warns(UserWarning, match="q14"):
-            x_decompose(DensityMatrix(2, 2, m))
-
-    def test_positivity_warning_on_a_stack(self):
-        good = np.array([sample_random_density(2, 2, r, r).mat for r in (1, 2, 3, 4)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _warn_if_x_inconsistent(good)
-        bad = good.copy()
-        bad[2, 1, 2] = bad[2, 2, 1] = 1.0
-        with pytest.warns(UserWarning, match="q23"):
-            _warn_if_x_inconsistent(bad)
 
 
 class TestXConcurrence:
