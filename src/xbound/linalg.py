@@ -57,7 +57,7 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Bipartite density matrix of shape (dimA*dimB, dimA*dimB), validated on construction.
 
@@ -67,6 +67,8 @@ class DensityMatrix:
     in tol.  Positivity is a minimum eigenvalue >= -tol.psd; a Cholesky
     factorization settles it, and eigenvalues are computed only when it
     fails.  The state keeps a read-only complex copy of mat, and int dims.
+    It compares and hashes by identity (eq=False): equality of arrays has no
+    single truth value.
     """
 
     dimA: int
@@ -116,13 +118,40 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized bipartite pure state; amps[i*dimB + k] is the |i,k> amplitude."""
+    """Normalized bipartite pure state, validated on construction.
+
+    amps[i*dimB + k] is the |i,k> amplitude.  Raises WrongDimensions for a
+    non-integer dim, one below 1 or an amplitude count other than dimA*dimB,
+    NonFinite for a NaN or infinite amplitude, and StateNormError for a norm
+    more than tol.norm from 1.  The state keeps a read-only, raveled complex
+    copy of amps, and int dims.  Like a DensityMatrix, it compares and
+    hashes by identity.
+    """
 
     dimA: int
     dimB: int
     amps: np.ndarray
+    tol: InitVar[Tolerances] = DEFAULT_TOL
+
+    def __post_init__(self, tol: Tolerances) -> None:
+        _check_dims(self.dimA, self.dimB)
+        dimA, dimB = int(self.dimA), int(self.dimB)
+        amps = np.array(self.amps, dtype=complex).ravel()
+        if amps.size != dimA * dimB:
+            raise WrongDimensions(
+                f"expected {dimA * dimB} amplitudes for dims ({dimA},{dimB}), got {amps.size}"
+            )
+        if not np.isfinite(amps).all():
+            raise NonFinite("amplitudes contain non-finite entries")
+        resid = abs(np.linalg.norm(amps) - 1.0)
+        if not resid <= tol.norm:  # a NaN norm is rejected too
+            raise StateNormError(f"norm deviates from 1 by {resid:.3e}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "dimA", dimA)
+        object.__setattr__(self, "dimB", dimB)
+        object.__setattr__(self, "amps", amps)
 
 
 def _check_int(name: str, value, error: type) -> None:
@@ -146,17 +175,8 @@ def validate_density(
 
 
 def pure_state(amps: np.ndarray, dimA: int, dimB: int, tol: Tolerances = DEFAULT_TOL) -> PureState:
-    """Wrap an amplitude vector as a PureState, checking dims, shape and norm."""
-    _check_dims(dimA, dimB)
-    amps = np.asarray(amps, dtype=complex).ravel()
-    if amps.size != dimA * dimB:
-        raise WrongDimensions(
-            f"expected {dimA * dimB} amplitudes for dims ({dimA},{dimB}), got {amps.size}"
-        )
-    nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > tol.norm:
-        raise StateNormError(f"norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    return PureState(dimA=dimA, dimB=dimB, amps=amps)
+    """Check amps as a pure state of dims (dimA, dimB): PureState(dimA, dimB, amps, tol)."""
+    return PureState(dimA, dimB, amps, tol)
 
 
 def projector(psi: PureState) -> DensityMatrix:
@@ -316,6 +336,7 @@ def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> tupl
 
 def sample_haar_pure(dimA: int, dimB: int, seed) -> PureState:
     """Haar-random pure state: normalized vector of standard complex Gaussians."""
+    _check_dims(dimA, dimB)
     d = dimA * dimB
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -325,6 +346,7 @@ def sample_haar_pure(dimA: int, dimB: int, seed) -> PureState:
 
 def sample_haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase-fixed R."""
+    _check_dims(dim, dim)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)

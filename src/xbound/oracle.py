@@ -127,7 +127,7 @@ class OptimizerConfig:
 _FUZZ_ORACLE = OptimizerConfig(restarts=1, max_iters=150)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionCandidate:
     """A pure-state ensemble reproducing a target density matrix."""
 
@@ -141,11 +141,10 @@ class DecompositionCandidate:
         return float(np.abs(acc - q.mat).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoofResult:
     value: float
     witness: DecompositionCandidate
-    improved: bool  # False: no restart beat the plain eigendecomposition average
 
 
 @functools.cache
@@ -230,7 +229,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
             weights=np.array([1.0]), states=[PureState(dimA, dimB, psi)]
         )
         value = float(_column_concurrence(psi[:, None], dimA, dimB)[0])
-        return RoofResult(value=value, witness=cand, improved=True)
+        return RoofResult(value=value, witness=cand)
 
     # For two qubits an optimal decomposition of size 4 always exists, and
     # ensembles that large make the landscape much easier than m = r (rank-3
@@ -251,7 +250,6 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
 
     # Identity isometry reproduces the eigendecomposition itself.
     x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
-    baseline = objective(x_eye)[0]
 
     # The optimizer can never beat the true concurrence, which in turn is at
     # least the algebraic lower bound, so once the gap to that floor closes
@@ -260,7 +258,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     stop_slack = 1e-6
 
     rng = np.random.default_rng(cfg.seed)
-    best_x, best_val = x_eye, baseline
+    best_x, best_val = x_eye, objective(x_eye)[0]
     for k in range(cfg.restarts):
         # Once the floor is reached further restarts cannot help.
         if best_val <= floor + stop_slack:
@@ -276,7 +274,6 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
             if value < best_val:
                 best_val, best_x = value, x
 
-    improved = best_val < baseline - 1e-12
     z = (best_x[: m * r] + 1j * best_x[m * r :]).reshape(m, r)
     cols = w @ _isometry(z)[0].T
     weights, states = [], []
@@ -286,7 +283,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
             weights.append(p)
             states.append(PureState(dimA, dimB, cols[:, j] / math.sqrt(p)))
     cand = DecompositionCandidate(weights=np.array(weights), states=states)
-    return RoofResult(value=float(best_val), witness=cand, improved=improved)
+    return RoofResult(value=float(best_val), witness=cand)
 
 
 @dataclass(frozen=True)
@@ -382,7 +379,7 @@ def fuzz_inequality(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisResult:
     best_bound: float
     uA: np.ndarray

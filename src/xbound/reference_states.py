@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .linalg import DensityMatrix, PureState, _check_int
+from .linalg import DensityMatrix, PureState, _check_dims, _check_int
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class IsotropicState:
 
 def maximally_entangled(d: int) -> PureState:
     """|psi_+> = (1/sqrt(d)) sum_i |i,i>."""
+    _check_dims(d, d)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / math.sqrt(d)
     return PureState(dimA=d, dimB=d, amps=amps)

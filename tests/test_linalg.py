@@ -1,4 +1,7 @@
 import dataclasses
+import importlib
+import pkgutil
+import typing
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from xbound import (
     NotHermitian,
     NotPositive,
     NotUnitary,
+    PureState,
     TraceNotOne,
     WrongDimensions,
     conjugate_by_local_unitary,
@@ -27,16 +31,20 @@ from xbound import (
 from xbound import errors, linalg
 from xbound.io import load_density, save_density
 from xbound.linalg import DEFAULT_TOL, Tolerances
-from xbound.oracle import _FUZZ_CHUNK
+from xbound.oracle import _FUZZ_CHUNK, OptimizerConfig, convex_roof_upper, optimize_basis
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
+    chi_state,
     isotropic_matrix,
+    maximally_entangled,
     maximally_mixed,
+    singlet,
     werner_state,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+LEAN = OptimizerConfig(restarts=1, max_iters=20)
 
 
 def bell_matrix():
@@ -167,6 +175,99 @@ class TestPureState:
         with pytest.raises(WrongDimensions, match="dimA must be an integer, got 2.0"):
             pure_state(np.ones(4) / 2, 2.0, 2.0)
 
+    def test_direct_construction_validates(self):
+        with pytest.raises(errors.StateNormError):
+            PureState(2, 2, np.ones(4))
+        with pytest.raises(WrongDimensions, match="expected 6 amplitudes"):
+            PureState(2, 3, np.ones(4) / 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("build", [lambda v: PureState(2, 2, v), lambda v: pure_state(v, 2, 2)],
+                             ids=["PureState", "pure_state"])
+    def test_non_finite_rejected(self, bad, build):
+        v = np.array([bad, 0, 0, 0], dtype=complex)
+        with pytest.raises(NonFinite):
+            build(v)
+
+    def test_amps_are_a_read_only_raveled_copy(self):
+        psi = PureState(np.int64(2), np.int32(2), [[1.0, 0.0], [0.0, 0.0]])
+        assert type(psi.dimA) is type(psi.dimB) is int
+        assert psi.amps.shape == (4,) and psi.amps.dtype == complex
+        v = np.array([1, 0, 0, 0], dtype=complex)
+        psi = PureState(2, 2, v)
+        assert not psi.amps.flags.writeable
+        with pytest.raises(ValueError):
+            psi.amps[0] = 5.0
+        assert v.flags.writeable
+        v[0] = 5.0  # the caller's array stays the caller's
+        assert psi.amps[0] == 1.0
+
+    def test_tolerance_is_passed_on(self):
+        v = np.array([1.0 + 1e-6, 0.0, 0.0, 0.0])
+        with pytest.raises(errors.StateNormError):
+            PureState(2, 2, v)
+        assert pure_state(v, 2, 2, Tolerances.uniform(1e-3)).amps[0] == v[0]
+
+    def test_replace_validates(self):
+        psi = bell_phi_plus()
+        for bad in (np.ones(4), np.array([np.nan, 0, 0, 0])):
+            with pytest.raises((errors.StateNormError, NonFinite)):
+                dataclasses.replace(psi, amps=bad)
+        with pytest.raises(WrongDimensions):
+            dataclasses.replace(psi, dimA=3)
+
+    @pytest.mark.parametrize("sample", [
+        lambda: sample_haar_pure(2, 2.0, 0),
+        lambda: sample_haar_pure(-1, 2, 0),
+        lambda: sample_haar_pure(0, 2, 0),
+        lambda: sample_haar_unitary(2.0, 0),
+        lambda: sample_haar_unitary(0, 0),
+        lambda: maximally_entangled(0),
+        lambda: maximally_entangled(2.0),
+    ], ids=["pure-float", "pure-negative", "pure-zero", "unitary-float", "unitary-zero",
+            "entangled-zero", "entangled-float"])
+    def test_samplers_check_dims(self, sample):
+        with pytest.raises(WrongDimensions):
+            sample()
+
+    def test_every_constructor_returns_a_read_only_state(self):
+        for name, states in pure_states_of_every_constructor().items():
+            assert states, name
+            for psi in states:
+                assert isinstance(psi, PureState), name
+                assert type(psi.dimA) is type(psi.dimB) is int, name
+                assert not psi.amps.flags.writeable, name
+                assert psi.amps.dtype == complex and psi.amps.shape == (psi.dimA * psi.dimB,), name
+
+    def test_each_state_is_validated_once(self, monkeypatch):
+        calls = []
+        check = PureState.__post_init__
+        monkeypatch.setattr(PureState, "__post_init__",
+                            lambda self, tol: calls.append(1) or check(self, tol))
+        states = pure_states_of_every_constructor()
+        assert len(calls) == sum(map(len, states.values()))
+
+
+def pure_states_of_every_constructor():
+    """The pure states from each public function that returns some, by name.
+
+    The roof search's inputs are built without a pure state, so every
+    PureState made here is one of the states returned.
+    """
+    v = np.array([0.5, 0.5j, -0.5, 0.5])
+    rank1 = DensityMatrix(2, 2, np.outer(v, v.conj()))
+    return {
+        "pure_state": [pure_state(v, 2, 2)],
+        "PureState": [PureState(2, 2, v)],
+        "sample_haar_pure": [sample_haar_pure(3, 2, 0)],
+        "maximally_entangled": [maximally_entangled(3)],
+        "chi_state": [chi_state()],
+        "bell_phi_plus": [bell_phi_plus()],
+        "singlet": [singlet()],
+        "convex_roof_upper": convex_roof_upper(maximally_mixed(2, 2), LEAN).witness.states,
+        "convex_roof_upper, rank 1": convex_roof_upper(rank1, LEAN).witness.states,
+    }
+
 
 def states_of_every_constructor(tmp_path):
     """A state from each public function that returns one, by name."""
@@ -240,6 +341,52 @@ class TestDensityMatrix:
         states = states_of_every_constructor(tmp_path)
         # sample_random_density's state is built once, then conjugated once.
         assert len(calls) == len(states) + 1
+
+
+def _holds_array(tp) -> bool:
+    """Whether the annotation tp is an array, a dataclass holding one, or a generic over either."""
+    if tp is np.ndarray:
+        return True
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return any(_holds_array(hints[f.name]) for f in dataclasses.fields(tp))
+    return any(_holds_array(arg) for arg in typing.get_args(tp))
+
+
+def xbound_dataclasses():
+    for info in pkgutil.iter_modules(xbound.__path__):
+        module = importlib.import_module(f"xbound.{info.name}")
+        for obj in vars(module).values():
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type) \
+                    and obj.__module__ == module.__name__:
+                yield obj
+
+
+class TestIdentity:
+    """A dataclass holding an array compares and hashes by identity."""
+
+    def test_no_generated_eq_over_an_array(self):
+        holders = {cls.__name__ for cls in xbound_dataclasses() if _holds_array(cls)}
+        assert holders >= {"DensityMatrix", "PureState", "DecompositionCandidate",
+                           "RoofResult", "BasisResult"}
+        for cls in xbound_dataclasses():
+            if _holds_array(cls):
+                assert "__eq__" not in vars(cls), cls.__name__
+                assert cls.__hash__ is object.__hash__, cls.__name__
+
+    @pytest.mark.parametrize("make", [
+        lambda: maximally_mixed(2, 2),
+        lambda: bell_phi_plus(),
+        lambda: convex_roof_upper(werner_state(0.5), LEAN),
+        lambda: convex_roof_upper(werner_state(0.5), LEAN).witness,
+        lambda: optimize_basis(werner_state(0.9), LEAN),
+    ], ids=["DensityMatrix", "PureState", "RoofResult", "DecompositionCandidate", "BasisResult"])
+    def test_compare_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b  # same contents, another object
+        assert hash(a) == hash(a)
+        assert len({a, a, b}) == 2
 
 
 # Mostly invalid dims; a numpy integer is a valid one.
