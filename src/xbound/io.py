@@ -103,12 +103,16 @@ def save_unitaries(uA: np.ndarray, uB: np.ndarray, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record accompanying generated output files."""
+    """Provenance record accompanying generated output files.
+
+    Every field is immutable, so a manifest hashes; write_manifest renders
+    the Tolerances as a dict of its fields.
+    """
 
     command: str
     input_hash: str
     seed: int
-    tolerances: dict
+    tolerances: Tolerances
     version: str
     timestamp: str
 
@@ -119,7 +123,7 @@ def make_manifest(command: str, input_hash: str, seed: int,
         command=command,
         input_hash=input_hash,
         seed=seed,
-        tolerances=asdict(tol),
+        tolerances=tol,
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

@@ -145,7 +145,10 @@ class PureState:
             )
         if not np.isfinite(amps).all():
             raise NonFinite("amplitudes contain non-finite entries")
-        resid = abs(np.linalg.norm(amps) - 1.0)
+        # On amps scaled down by a power of two to parts below 2 (exact) no square
+        # overflows, which numpy would warn of; Python floats scale back up silently.
+        scale = 2.0 ** max(math.frexp(np.abs(amps.view(float)).max())[1] - 1, 0)
+        resid = abs(float(np.linalg.norm(amps / scale)) * scale - 1.0)
         if not resid <= tol.norm:  # a NaN norm is rejected too
             raise StateNormError(f"norm deviates from 1 by {resid:.3e}")
         amps.flags.writeable = False
@@ -319,16 +322,18 @@ def _trial_densities(dimA: int, dimB: int, seed: int, start: int, ranks) -> tupl
             f"derived PCG64 state of trial {start} (seed {seed}) differs from numpy's"
         )
     rng = np.random.Generator(bitgen)
+    # One dict serves every trial: the setter only reads it.
+    inner = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     out = np.empty((ranks.size, d, d), dtype=complex)
     factors = []
     for rank in levels:
         idx = np.flatnonzero(ranks == rank)
         x = np.empty((idx.size, 2, d, rank))
-        for j, i in enumerate(idx):
-            state, inc = states[i]
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            rng.standard_normal(out=x[j])
+        for xj, i in zip(x, idx.tolist()):
+            inner["state"], inner["inc"] = states[i]
+            bitgen.state = full
+            rng.standard_normal(out=xj)
         out[idx], g, tr = _ginibre(x)
         factors.append((idx, g, tr))
     return out, factors

@@ -107,8 +107,27 @@ def _wootters_factor(a: np.ndarray, s) -> np.ndarray:
     a near-zero eigenvalue is taken.  sy(x)sy is applied as a signed row
     reversal, with highdim._MINOR_SIGNS: that is -sy(x)sy, and no singular
     value sees the sign.  s broadcasts against the stack's shape.
+
+    The form depends only on r.  At r = 1 the value is |m| / s.  At r = 2 it
+    is (s1^2 - s2^2) / (s1 + s2) / s, with s1^2 - s2^2 = hypot(p00 - p11,
+    2|p01|) from P = m^dag m and s1 + s2 = sqrt(|m|_F^2 + 2|det m|): no two
+    nearly equal singular values are subtracted near s1 = s2, the separable
+    boundary, and m = 0 (e.g. factor columns |00> and |01>) gives 0.  At
+    r = 3 and 4 the SVD stays: a closed form would take the roots of a
+    cubic or quartic in the l_i^2, and so square roots of near-zero
+    eigenvalues again.
     """
     m = np.swapaxes(a, -1, -2) @ (a[..., ::-1, :] * _MINOR_SIGNS)
+    r = m.shape[-1]
+    if r == 1:
+        return np.abs(m[..., 0, 0]) / s
+    if r == 2:
+        m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        sq = m.real ** 2 + m.imag ** 2
+        p00, p11 = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+        diff = np.hypot(p00 - p11, 2.0 * np.abs(m00.conj() * m01 + m10.conj() * m11))
+        total = np.sqrt(p00 + p11 + 2.0 * np.abs(m00 * m11 - m01 * m10))
+        return np.divide(diff, total, out=np.zeros_like(diff), where=total > 0.0) / s
     lam = np.linalg.svd(m, compute_uv=False)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)) / s
 

@@ -1,6 +1,6 @@
 """The state-file decoder: the matrix it hands to validation is the one that
 json.loads and np.asarray make of the same file, each part as it stands, bit
-for bit."""
+for bit.  And the run manifest written beside an output."""
 import json
 
 import numpy as np
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from xbound import NonFinite, sample_random_density
 from xbound import io as xio
-from xbound.io import load_density, save_density
+from xbound.io import load_density, make_manifest, save_density, write_manifest
+from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.reference_states import maximally_mixed
 
 # The shapes of the bound-nxn benchmark workload.
@@ -114,3 +115,16 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     mat = load_density(path).mat
     assert np.signbit(mat.real).tolist() == [[False, True], [True, False]]
     assert np.signbit(mat.imag).tolist() == [[False, False], [True, False]]
+
+
+def test_manifest_hashes_and_writes_its_tolerances_as_a_dict(tmp_path):
+    tol = Tolerances.uniform(1e-6)
+    m = make_manifest("bound", "sha256:0", 7, tol)
+    assert m.tolerances is tol
+    assert hash(m) == hash(m) and len({m, m}) == 1
+    assert make_manifest("bound", "sha256:0", 7).tolerances is DEFAULT_TOL
+    written = json.loads(write_manifest(m, tmp_path / "out.json").read_text())
+    assert sorted(written) == ["command", "input_hash", "seed", "timestamp", "tolerances",
+                               "version"]
+    assert written["tolerances"] == {"herm": 1e-6, "trace": 1e-6, "psd": 1e-6, "norm": 1e-6,
+                                     "unitary": 1e-6}

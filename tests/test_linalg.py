@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import pkgutil
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestPureState:
         with pytest.raises(errors.StateNormError):
             PureState(2, 2, v)
         assert pure_state(v, 2, 2, Tolerances.uniform(1e-3)).amps[0] == v[0]
+
+    @pytest.mark.parametrize("amps", [[1e308, 1e308, 0, 0], [1e200j, 0, 0, 0],
+                                      [1.7976931348623157e308, -1e308j, 1e308, 1e308]])
+    def test_huge_amplitudes_raise_without_a_warning(self, amps):
+        # Squares of these overflow; only the StateNormError may come out.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.StateNormError):
+                pure_state(amps, 2, 2)
 
     def test_replace_validates(self):
         psi = bell_phi_plus()

@@ -25,11 +25,11 @@ from xbound.reference_states import (
     bell_phi_plus,
     chi_state,
     maximally_mixed,
-    singlet,
     werner_exact_concurrence,
     werner_state,
 )
-from xbound.linalg import _trial_densities
+from xbound.highdim import _MINOR_SIGNS
+from xbound.linalg import _trial_densities, clipped_sqrt
 from xbound.two_qubit import _wootters, _wootters_factor
 
 CHI_C = 0.5 - math.sqrt(2.0) / 3.0  # 2|alpha*delta - beta*gamma| for chi
@@ -153,9 +153,18 @@ class TestWootters:
         assert np.array_equal(stacked, per_state)
 
 
+def svd_wootters_factor(a, s):
+    """The SVD form of _wootters_factor at every rank: the reference for its closed forms."""
+    m = np.swapaxes(a, -1, -2) @ (a[..., ::-1, :] * _MINOR_SIGNS)
+    lam = np.linalg.svd(m, compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)) / s
+
+
 class TestWoottersFactor:
     # 200 Ginibre states of rank 1-4: (idx, G, Tr[G G^dag]) per rank, and the matrices.
     MATS, FACTORS = _trial_densities(2, 2, 2024, 0, [1, 2, 3, 4] * 50)
+    # The Bell basis as columns: psi-, psi+, phi+, phi-.
+    BELL = np.array([[0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1]]).T / math.sqrt(2.0)
 
     def test_factors_of_one_state_agree(self):
         eigen = _wootters(self.MATS)
@@ -181,12 +190,44 @@ class TestWoottersFactor:
 
     def test_werner_closed_form(self):
         # p |psi-><psi-| + (1-p) I/4 from the Bell basis, weighted.
-        bell = np.array([singlet().amps, [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1]]).T
-        bell[:, 1:] /= math.sqrt(2.0)
         for p in np.linspace(0.0, 1.0, 41):
             w = np.array([p + (1.0 - p) / 4.0] + [(1.0 - p) / 4.0] * 3)
-            c = _wootters_factor(bell * np.sqrt(w), 1.0)
+            c = _wootters_factor(self.BELL * np.sqrt(w), 1.0)
             assert abs(c - werner_exact_concurrence(p)) < 1e-14
+
+    def test_rank_two_closed_form(self):
+        # Two Bell states of weights (1 + delta)/2 and (1 - delta)/2, mixed by a
+        # unitary, have concurrence delta: s1 = s2 at delta = 0, the separable
+        # boundary.  Factor columns |00> and |01> give m = 0.
+        deltas = [0.0, 1e-16, 1e-12, 1e-8, 1e-4, 0.1, 0.5, 1.0]
+        a = [self.BELL[:, 1:3] * np.sqrt([(1.0 + dl) / 2.0, (1.0 - dl) / 2.0])
+             @ sample_haar_unitary(2, n) for n, dl in enumerate(deltas)]
+        a = np.array(a + [np.eye(4)[:, :2]])
+        c = _wootters_factor(a, 1.0)
+        assert np.abs(c[:-1] - deltas).max() < 1e-15
+        assert c[-1] == 0.0 and _wootters_factor(a[-1], 1.0) == 0.0
+        _, g, tr = self.FACTORS[1]
+        for f, s in ((a, 1.0), (g, tr)):
+            assert f.shape[-1] == 2
+            padded = np.concatenate([f, np.zeros(f.shape[:-1] + (2,))], axis=-1)
+            assert np.abs(_wootters_factor(f, s) - svd_wootters_factor(padded, s)).max() < 1e-15
+
+    def test_rank_one_closed_form(self):
+        _, g, tr = self.FACTORS[0]
+        assert g.shape[-1] == 1
+        psi = [pure_state(col / math.sqrt(t), 2, 2) for col, t in zip(g[..., 0], tr)]
+        expected = [pure_concurrence_2q(p) for p in psi]
+        assert np.abs(_wootters_factor(g, tr) - expected).max() < 1e-15
+
+    def test_ranks_three_and_four_keep_the_svd(self):
+        for idx, g, tr in self.FACTORS[2:]:
+            assert g.shape[-1] in (3, 4)
+            assert np.array_equal(_wootters_factor(g, tr), svd_wootters_factor(g, tr))
+        evals, vecs = np.linalg.eigh(self.MATS)
+        expected = svd_wootters_factor(vecs * clipped_sqrt(evals)[..., None, :], 1.0)
+        assert np.array_equal(_wootters(self.MATS), expected)
+        per_state = [wootters_concurrence(validate_density(m, 2, 2)) for m in self.MATS]
+        assert per_state == expected.tolist()
 
     def test_x_states(self):
         # A Cholesky factor of a positive definite X state.
