@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -121,12 +121,17 @@ def _pair_grid(dimA: int, dimB: int) -> tuple[np.ndarray, ...]:
     The A-pairs i < j are shaped (nA, 1, 1), each B-pair k < l and then its
     mirror (1, nB, 2), both in lexicographic order.  At 2x2 the grid is the
     two X witnesses, c1 (Q_14 against Q_22 Q_33) and then c2.  The arrays are
-    read-only, so a grid can be built once and shared.
+    read-only, so a grid can be built once and shared, and contiguous, which
+    numpy gathers by faster.
     """
-    a = np.array(list(combinations(range(dimA), 2)), int).reshape(-1, 1, 1, 2)
-    b = np.array([(p, p[::-1]) for p in combinations(range(dimB), 2)], int).reshape(1, -1, 2, 2)
-    a.flags.writeable = b.flags.writeable = False
-    return a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    a, b = (np.fromiter(chain.from_iterable(combinations(range(n), 2)), int, n * (n - 1))
+            for n in (dimA, dimB))
+    i, j = a.reshape(-1, 2).T.copy()[..., None, None]
+    k = b.reshape(1, -1, 2)
+    grid = i, j, k, k[..., ::-1].copy()
+    for x in grid:
+        x.flags.writeable = False
+    return grid
 
 
 def _pair_terms(mat: np.ndarray, dimA: int, dimB: int,
@@ -137,7 +142,7 @@ def _pair_terms(mat: np.ndarray, dimA: int, dimB: int,
     k and l mirrors.  |coh| is by hypot: the same float alone or in a stack.
     """
     c = mat.reshape(*mat.shape[:-2], dimA, dimB, dimA, dimB)[..., i, k, j, l]
-    d = np.diagonal(mat, axis1=-2, axis2=-1).real.reshape(*mat.shape[:-2], dimA, dimB)
+    d = mat.diagonal(0, -2, -1).real.reshape(*mat.shape[:-2], dimA, dimB)
     return np.hypot(c.real, c.imag), np.sqrt(np.maximum(d[..., i, l] * d[..., j, k], 0.0))
 
 
@@ -160,9 +165,9 @@ class _BestMargin(NamedTuple):
     """Margins (..., nA, nB, 2) of a (..., D, D) stack; bound, value, witness per matrix."""
 
     margins: np.ndarray
-    bound: np.ndarray
-    value: np.ndarray
-    witness: np.ndarray
+    bound: np.ndarray | float
+    value: np.ndarray | float
+    witness: np.ndarray | int
 
 
 def _best_margin(mat: np.ndarray, dimA: int, dimB: int, grid) -> _BestMargin:
@@ -177,22 +182,31 @@ def _best_margin(mat: np.ndarray, dimA: int, dimB: int, grid) -> _BestMargin:
     their last bits.  `bound` is the maximum, or 0 where it is within
     roundoff of zero: a pure product state's margins are 0 but evaluate to a
     few ulps either side, and roundoff must not certify entanglement.  Each
-    matrix gives the same bits alone or in a stack.
+    matrix gives the same bits alone or in a stack; for one D x D matrix
+    bound, value and witness are Python scalars.
     """
     coh, root = _pair_terms(mat, dimA, dimB, *grid)
     margins = 2.0 * (coh - root)
     n = math.prod(margins.shape[-3:])
     if n == 0:
         raise IndexOutOfRange("dims too small: need dimA >= 2 and dimB >= 2")
-    flat = margins.reshape(-1, n)
-    rows = np.arange(len(flat))
-    top = flat.argmax(axis=1)
-    value = flat[rows, top]
-    roundoff = _ROUNDOFF_ULPS * _EPS * (coh + root).reshape(flat.shape)[rows, top]
-    witness = (flat >= (value - roundoff)[:, None]).argmax(axis=1)
     stack = mat.shape[:-2]
-    return _BestMargin(margins, np.where(value > roundoff, value, 0.0).reshape(stack),
-                       value.reshape(stack), witness.reshape(stack))
+    if stack:
+        flat = margins.reshape(-1, n)
+        top = flat.argmax(axis=1)[:, None]
+        value = np.take_along_axis(flat, top, 1)
+        scale = np.take_along_axis((coh + root).reshape(flat.shape), top, 1)
+    else:  # the same arithmetic on the one row, read out as Python scalars
+        flat = margins.reshape(n)
+        top = int(flat.argmax())
+        value, scale = flat.item(top), coh.item(top) + root.item(top)
+    roundoff = _ROUNDOFF_ULPS * _EPS * scale
+    witness = (flat >= value - roundoff).argmax(axis=-1)
+    bound = np.where(value > roundoff, value, 0.0)
+    if stack:
+        return _BestMargin(margins, bound.reshape(stack), value.reshape(stack),
+                           witness.reshape(stack))
+    return _BestMargin(margins, float(bound), value, int(witness))
 
 
 def _check_below_exact(bound: float, exact: float, what: str = "lower bound") -> None:
@@ -210,10 +224,11 @@ def generalized_lower_bound(q: DensityMatrix) -> GeneralBoundReport:
     """
     i, j, k, l = grid = _pair_grid(q.dimA, q.dimB)
     best = _best_margin(q.mat, q.dimA, q.dimB, grid)
-    a, b, mirrored = np.unravel_index(best.witness, best.margins.shape)
+    a, rest = divmod(best.witness, k.size)
+    b, mirrored = divmod(rest, 2)
     return GeneralBoundReport(
-        bound=float(best.bound),
-        argmax_pair=PairIndex(*map(int, (i[a, 0, 0], j[a, 0, 0], k[0, b, 0], l[0, b, 0]))),
+        bound=best.bound,
+        argmax_pair=PairIndex(i.item(a, 0, 0), j.item(a, 0, 0), k.item(0, b, 0), l.item(0, b, 0)),
         mirrored=bool(mirrored),
-        value=float(best.value),
+        value=best.value,
     )

@@ -90,21 +90,24 @@ class DensityMatrix:
         # On m scaled down by a power of two above 2d (exact) no residual overflows,
         # which numpy would warn of; Python floats scale it back up silently.
         scale = 2.0 ** (2 * d).bit_length()
-        ms = m / scale
+        ms = m * (1.0 / scale)
         herm_resid = float(np.abs(ms - ms.conj().T).max()) * scale
         if herm_resid > tol.herm:
             raise NotHermitian(f"Hermiticity residual {herm_resid:.3e} > {tol.herm:.1e}")
         tr_resid = float(abs(ms.trace() - 1.0 / scale)) * scale
         if tr_resid > tol.trace:
             raise TraceNotOne(f"trace deviates from 1 by {tr_resid:.3e} > {tol.trace:.1e}")
-        h = m / 2 + m.conj().T / 2  # cannot overflow; (m + mh) / 2 on normal entries
+        h = m * 0.5
+        h += h.conj().T  # m/2 + m^dag/2: cannot overflow; (m + mh) / 2 on normal entries
         # h + s·I has a Cholesky factor iff lambda_min(h) > -s.  With s = psd/2
         # the other half of the tolerance covers the rounding of the factorization
         # and of eigvalsh (of order d·eps·|h|, 1e-14 at d = 64), so every state
         # accepted here has an eigvalsh minimum >= -psd; the rest, and every
         # state near the boundary, are decided by that eigenvalue.
+        shifted = h.copy()
+        shifted.reshape(-1)[:: d + 1] += tol.psd / 2
         try:
-            np.linalg.cholesky(h + tol.psd / 2 * np.eye(d))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             try:
                 lam = np.linalg.eigvalsh(h).min()

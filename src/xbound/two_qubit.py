@@ -88,7 +88,7 @@ def x_concurrence(x: XCore) -> BoundReport:
     """
     best = _best_margin(x.as_matrix(), 2, 2, _X_GRID)
     c1, c2 = best.margins.ravel().tolist()
-    return BoundReport(c1=c1, c2=c2, bound=float(best.bound))
+    return BoundReport(c1=c1, c2=c2, bound=best.bound)
 
 
 def pure_concurrence_2q(psi: PureState) -> float:

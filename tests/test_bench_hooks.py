@@ -3,11 +3,15 @@
 xbench/tracing.py wraps the functions in its TARGETS, and xbench/workloads.py
 cuts calls into timed segments by replacing a module attribute by name
 (_with_marks).  A renamed or removed target fails every benchmark pass, so
-these checks load both files as they are and look each name up.
+these checks load both files as they are and look each name up, count the
+calls that the bound-nxn marks wrap, and run that workload briefly.
 """
 import ast
 import importlib
 import importlib.util
+import json
+import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +47,37 @@ def test_marked_names_exist(monkeypatch):
                       ("xbound.highdim", "combinations")}
     for module, name in marked:
         assert callable(getattr(sys.modules[module], name))
+
+
+def test_bound_marks_fire_twice_per_state(monkeypatch):
+    # bound-nxn cuts each file's bound at the calls of highdim.combinations:
+    # _pair_grid must call it for the A-pairs and for the B-pairs on every
+    # call, uncached.  ROADMAP item 1 moves these marks to a call made once
+    # per state; its change updates this test.
+    from xbound import highdim, maximally_mixed
+
+    calls = []
+    real = highdim.combinations
+    monkeypatch.setattr(highdim, "combinations", lambda *args: calls.append(args) or real(*args))
+    q = maximally_mixed(3, 4)
+    for n in (1, 2):
+        highdim.generalized_lower_bound(q)
+        assert calls == [(range(3), 2), (range(4), 2)] * n
+
+
+def test_benchmark_smoke_run():
+    # The workload this package's one-state path serves, end to end: a short
+    # run must be correct, with no failed pass and every end-to-end metric.
+    # --trace 1 is left out: it writes under xbench/results/.
+    root = XBENCH.parent
+    proc = subprocess.run([sys.executable, "xbench/run.py", "--workload", "bound-nxn",
+                           "--seed", "1", "--seconds", "0.2", "--trace", "0"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] >= 1
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for m in spec["end_to_end"]:
+        value = result["metrics"][m["name"]]
+        assert value["unit"] == m["unit"] and math.isfinite(value["value"]) and value["value"] > 0

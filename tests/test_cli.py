@@ -203,6 +203,25 @@ class TestBound:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("diag,off,shown", [
+        # The strings and the booleans were read as numbers; null exited 2 as NonFinite.
+        ('"0.25"', "0", '"0.25"'),
+        ('" 2.5e-1 "', "0", '" 2.5e-1 "'),
+        ("0.25", "null", "null"),
+        ("0.25", "false", "false"),
+        ("true", "false", "true"),
+    ], ids=["string", "spaced-string", "null", "boolean-among-numbers", "booleans"])
+    def test_non_number_entries(self, tmp_path, capsys, diag, off, shown):
+        path = tmp_path / "strings.json"
+        re = [[diag if i == j else off for j in range(4)] for i in range(4)]
+        path.write_text('{"dimA": 2, "dimB": 2, "re": [%s], "im": %s}' % (
+            ", ".join("[%s]" % ", ".join(r) for r in re), json.dumps([[0] * 4] * 4)))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: StateValidationError: re/im entries must be numbers, got {shown}\n")
+
     @pytest.mark.parametrize("key,value", [("dimA", 2.0), ("dimB", True), ("dimA", "2")])
     def test_non_integer_dims(self, tmp_path, capsys, key, value):
         path = tmp_path / "dims.json"

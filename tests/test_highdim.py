@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbound import (
     IndexOutOfRange,
@@ -141,6 +143,65 @@ class TestPairKernel:
                 one.bound, one.value, one.witness)
             rep = generalized_lower_bound(validate_density(mats[idx], dA, dB))
             assert (rep.bound, rep.value) == (one.bound, one.value)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dims=st.tuples(st.integers(2, 4), st.integers(2, 5)),
+           kinds=st.lists(st.sampled_from(["ginibre", "mixed-product", "pure-product",
+                                           "threshold"]), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_matrix_path_keeps_its_bits(self, dims, kinds, seed):
+        # Ginibre states have positive and negative best margins; on product
+        # states the plain and mirrored margins tie but for roundoff, and on
+        # pure products every margin is 0 but for roundoff: the cases of the
+        # roundoff rule.  A threshold state has one margin of 0 to 40 ulps of
+        # its scale, either side of the rule's 16.
+        dA, dB = dims
+        d = dA * dB
+        rng = np.random.default_rng(seed)
+
+        def ginibre(d, rank):
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            return g @ g.conj().T / np.linalg.norm(g) ** 2
+
+        mats = []
+        for kind in kinds:
+            if kind == "ginibre":
+                mats.append(ginibre(d, int(rng.integers(1, d + 1))))
+            elif kind == "threshold":
+                m = np.eye(d, dtype=complex) / d
+                m[0, dB + 1] = m[dB + 1, 0] = (1.0 + rng.integers(0, 41) * np.finfo(float).eps) / d
+                mats.append(m)
+            else:
+                rank = 1 if kind == "pure-product" else None
+                mats.append(np.kron(ginibre(dA, rank or dA), ginibre(dB, rank or dB)))
+        mats = np.stack([validate_density(m, dA, dB).mat for m in mats])
+        grid = _pair_grid(dA, dB)
+        stack = _best_margin(mats, dA, dB, grid)
+        for n, mat in enumerate(mats):
+            one = _best_margin(mat, dA, dB, grid)
+            assert (type(one.bound), type(one.value), type(one.witness)) == (float, float, int)
+            assert stack.margins[n].tobytes() == one.margins.tobytes()
+            for field in ("bound", "value", "witness"):
+                got = getattr(one, field)
+                assert getattr(stack, field)[n].tobytes() == np.array(got, type(got)).tobytes()
+            rep = generalized_lower_bound(validate_density(mat, dA, dB))
+            a, b, mirrored = np.unravel_index(one.witness, one.margins.shape)
+            p = rep.argmax_pair
+            assert (rep.bound, rep.value) == (one.bound, one.value)
+            assert np.float64(rep.bound).tobytes() == np.float64(one.bound).tobytes()
+            assert (p.i, p.j, p.k, p.l, rep.mirrored) == (
+                grid[0][a, 0, 0], grid[1][a, 0, 0], grid[2][0, b, 0], grid[3][0, b, 0],
+                bool(mirrored))
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (3, 1)])
+    def test_dims_below_two_raise(self, dims):
+        grid = _pair_grid(*dims)
+        q = maximally_mixed(*dims)
+        for mat in (q.mat, np.stack([q.mat, q.mat])):
+            with pytest.raises(IndexOutOfRange):
+                _best_margin(mat, *dims, grid)
+        with pytest.raises(IndexOutOfRange):
+            generalized_lower_bound(q)
 
     def test_2x2_grid_is_the_x_witnesses(self):
         # (0,1,0,1) reads Q_14 against Q_22 Q_33 (c1); (0,1,1,0) reads Q_23

@@ -1,6 +1,7 @@
 """The state-file decoder: the matrix it hands to validation is the one that
 json.loads and np.asarray make of the same file, each part as it stands, bit
-for bit.  And the run manifest written beside an output."""
+for bit, and every entry must be a JSON number.  And the run manifest written
+beside an output."""
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbound import NonFinite, sample_random_density
+from xbound import NonFinite, StateValidationError, sample_random_density
 from xbound import io as xio
 from xbound.io import load_density, make_manifest, save_density, write_manifest
 from xbound.linalg import DEFAULT_TOL, Tolerances
@@ -77,14 +78,16 @@ entry = st.one_of(
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(n=st.integers(1, 3), data=st.data())
-def test_entries_match_stdlib(tmp_path_factory, n, data):
+@given(n=st.integers(1, 3), note=st.booleans(), data=st.data())
+def test_entries_match_stdlib(tmp_path_factory, n, note, data):
+    # A file with a string besides its keys has each entry's type checked
+    # before conversion; the matrix is the same.
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(2 * n)]
     text = "{%s}" % ", ".join([
         f'"dimA": {n}', '"dimB": 1',
         '"re": [%s]' % ", ".join("[%s]" % ", ".join(map(literal, r)) for r in rows[:n]),
         '"im": [%s]' % ", ".join("[%s]" % ", ".join(map(literal, r)) for r in rows[n:]),
-    ])
+    ] + ['"note": "a full state"'] * note)
     path = tmp_path_factory.getbasetemp() / "entries.json"
     path.write_text(text)
     assert_bitwise_equal(decoded_matrix(path), stdlib_matrix(path))
@@ -104,6 +107,48 @@ def test_non_finite_tokens_rejected(tmp_path, token):
     assert not np.isfinite(decoded_matrix(path)[1, 2])
     with pytest.raises(NonFinite):
         load_density(path)
+
+
+def state_text(token: str, fill: str = "0.0") -> str:
+    """A 1x2 state file, diag(1, 0), with token as its re[0][1] and re[1][0]."""
+    re = [["1.0", token], [token, fill]]
+    return '{"dimA": 1, "dimB": 2, "re": [%s], "im": [[0.0, 0.0], [0.0, 0.0]]}' % (
+        ", ".join("[%s]" % ", ".join(r) for r in re))
+
+
+@pytest.mark.parametrize("text,shown", [
+    # numpy parsed each string as a number, so these files were bounded.
+    (state_text('"0.0"'), '"0.0"'),
+    (state_text('" 0e-1 "'), '" 0e-1 "'),
+    # Booleans alone or among numbers were read as 1.0 and 0.0.
+    ('{"dimA": 1, "dimB": 2, "re": [[true, false], [false, false]], '
+     '"im": [[false, false], [false, false]]}', "true"),
+    (state_text("false"), "false"),
+    (state_text("0.0", fill="false"), "false"),
+    # null was read as NaN, and rejected as NonFinite.
+    (state_text("null"), "null"),
+    (state_text("{}"), "{}"),
+    (state_text("0.0", fill='"0"').replace('"im"', '"note": "x", "im"'), '"0"'),
+], ids=["string", "spaced-string", "all-booleans", "boolean", "boolean-among-numbers", "null",
+        "object", "string-beside-an-extra-key"])
+def test_entries_must_be_numbers(tmp_path, text, shown):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    with pytest.raises(StateValidationError) as info:
+        load_density(path)
+    assert type(info.value) is StateValidationError
+    assert str(info.value) == f"re/im entries must be numbers, got {shown}"
+
+
+def test_numbers_only_gate():
+    # The files that skip the per-entry check: no string but the four keys,
+    # and no true, false or null.
+    assert xio._numbers_only(state_text("0.0").encode())
+    assert xio._numbers_only(state_text("NaN").encode())
+    assert xio._numbers_only(state_text("-Infinity").encode())
+    for token in ('"0.0"', "true", "false", "null"):
+        assert not xio._numbers_only(state_text(token).encode())
+    assert not xio._numbers_only(state_text("0").replace('"im"', '"x": 1, "im"').encode())
 
 
 def test_negative_zero_keeps_its_sign(tmp_path):
