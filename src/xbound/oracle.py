@@ -4,10 +4,12 @@ convex_roof_upper minimizes the ensemble-average pure-state concurrence over
 pure decompositions by L-BFGS with an analytic gradient; the result is an
 upper bound on the true concurrence.
 fuzz_inequality hammers the lower bound against that reference (or against the
-exact two-qubit value).  optimize_basis searches local unitaries exp(iH) for
-the basis that maximizes the X bound, by L-BFGS on the analytic gradient of
-each X witness's margin.  Both searches run through minimize, which drives
-scipy's L-BFGS-B core directly.
+exact two-qubit value).  optimize_basis searches local unitaries for the
+basis that maximizes the X bound, by L-BFGS on the analytic gradient of each
+X witness's margin.  Both searches take their isometries (the decomposition's
+mixing matrix, the local unitaries) as the QR factor of an unconstrained
+complex matrix (_isometry), back-propagate through it with _isometry_grad,
+and run through minimize, which drives scipy's L-BFGS-B core directly.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _colum
                       _pair_grid, _pair_terms, generalized_lower_bound)
 # sample_random_density is unused here, but the benchmark's fuzz-2q marks
 # replace it in this module by name, so it stays importable from it.
-from .linalg import (DensityMatrix, PureState, _check_int,  # noqa: F401
+from .linalg import (DensityMatrix, PureState, _check_int, _check_ranks,  # noqa: F401
                      _local_product, _trial_densities, sample_random_density)
 from .two_qubit import _wootters_factor, wootters_concurrence
 
@@ -155,15 +157,19 @@ def _strict_lower(r: int) -> np.ndarray:
     return mask
 
 
-def _isometry(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization z = QR with R's (real) diagonal made non-negative.
+def _isometry(params: np.ndarray, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R of z = QR with R's (real) diagonal made non-negative; params holds z.
 
-    Householder QR (LAPACK's zgeqrf, whose R has a real diagonal) flips the
-    sign of a column of Q between z = I and any z perturbed below the
-    diagonal; fixing the sign makes Q smooth in z, so the objective has no
-    kink at the identity start.
+    params holds the m x r complex matrix z: its real parts, then its
+    imaginary parts, row by row.  Householder QR (LAPACK's zgeqrf, whose R
+    has a real diagonal) flips the sign of a column of Q between z = I and
+    any z perturbed below the diagonal; fixing the sign makes Q smooth in z,
+    so the objective has no kink at the identity start.
     """
-    r = z.shape[1]
+    n = m * r
+    z = np.empty((m, r), dtype=complex)
+    z.real = params[:n].reshape(m, r)
+    z.imag = params[n:].reshape(m, r)
     qr, tau, _, _ = lapack.zgeqrf(z)
     iso, _, _ = lapack.zungqr(qr, tau)
     sign = np.copysign(1.0, qr.diagonal().real)
@@ -172,24 +178,15 @@ def _isometry(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return iso * sign, tri
 
 
-def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
-                      dimA: int, dimB: int, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
-    """Ensemble-average concurrence of the decomposition params encodes, and its gradient.
+def _isometry_grad(iso: np.ndarray, tri: np.ndarray, g_iso: np.ndarray) -> np.ndarray:
+    """Back-propagate a gradient g_iso of Q = _isometry(params, m, r)[0] to params.
 
-    params holds the real and imaginary parts of an m x r matrix z; the
-    isometry is Q from z = QR (_isometry), and the decomposition's
-    subnormalized states are the columns of w Q^T.  The gradient is
-    back-propagated through the QR factorization, whose R has a real
-    diagonal.  smoothing is passed to _column_concurrence.
+    iso and tri are the Q and R that _isometry returned.  Gradients are
+    d/dRe + i d/dIm, as in highdim._column_concurrence; a singular R raises
+    LinAlgError.
     """
+    m, r = iso.shape
     n = m * r
-    z = np.empty((m, r), dtype=complex)
-    z.real = params[:n].reshape(m, r)
-    z.imag = params[n:].reshape(m, r)
-    iso, tri = _isometry(z)  # m x r, iso^dag iso = I
-    cols = w @ iso.T  # D x m; sum_j col col^dag reproduces the state
-    conc, gcols = _column_concurrence(cols, dimA, dimB, smoothing, grad=True)
-    g_iso = (w.conj().T @ gcols).T
     # With b = iso^dag g_iso, the gradient in z is (g_iso - iso h) R^-dag,
     # h the Hermitian matrix with b's upper triangle and real diagonal.
     h = iso.conj().T @ g_iso
@@ -201,7 +198,22 @@ def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
     grad = np.empty(2 * n)
     grad[:n].reshape(m, r)[...] = g_zh.real.T
     np.negative(g_zh.imag.T, out=grad[n:].reshape(m, r))
-    return float(conc.sum()), grad
+    return grad
+
+
+def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
+                      dimA: int, dimB: int, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
+    """Ensemble-average concurrence of the decomposition params encodes, and its gradient.
+
+    The isometry is Q from the m x r matrix params holds (_isometry), and the
+    decomposition's subnormalized states are the columns of w Q^T.  The
+    gradient is back-propagated through the QR factorization
+    (_isometry_grad).  smoothing is passed to _column_concurrence.
+    """
+    iso, tri = _isometry(params, m, r)  # m x r, iso^dag iso = I
+    cols = w @ iso.T  # D x m; sum_j col col^dag reproduces the state
+    conc, gcols = _column_concurrence(cols, dimA, dimB, smoothing, grad=True)
+    return float(conc.sum()), _isometry_grad(iso, tri, (w.conj().T @ gcols).T)
 
 
 def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> RoofResult:
@@ -274,8 +286,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
             if value < best_val:
                 best_val, best_x = value, x
 
-    z = (best_x[: m * r] + 1j * best_x[m * r :]).reshape(m, r)
-    cols = w @ _isometry(z)[0].T
+    cols = w @ _isometry(best_x, m, r)[0].T
     weights, states = [], []
     for j in range(m):
         p = float(np.linalg.norm(cols[:, j]) ** 2)
@@ -320,8 +331,9 @@ def fuzz_inequality(
     always samples from SeedSequence([seed, t]), so seed must be an integer
     >= 0 and trials an integer in [1, 2**32] (t is one 32-bit entropy word);
     both raise OutOfRange otherwise.  A non-integer dim or one below 2 raises
-    WrongDimensions and an empty ranks list InvalidRank; every check comes
-    before the first sample.  Trials run in chunks of _FUZZ_CHUNK * 16 /
+    WrongDimensions, and an empty ranks list or a rank in it that is not an
+    integer in [1, dimA dimB] InvalidRank; every check comes before the
+    first sample.  Trials run in chunks of _FUZZ_CHUNK * 16 /
     (dimA dimB)^2, at least one, sampled stacked (linalg._trial_densities)
     and bounded in one highdim._best_margin call.  On two qubits the
     reference is the Wootters value from each trial's Ginibre factor
@@ -339,9 +351,11 @@ def fuzz_inequality(
         raise OutOfRange(f"trials must be in [1, 2**32], got {trials}")
     if dimA < 2 or dimB < 2:
         raise WrongDimensions(f"dims must both be >= 2, got ({dimA},{dimB})")
-    if ranks is not None and not ranks:
-        raise InvalidRank("ranks must not be empty")
     d = dimA * dimB
+    if ranks is not None:
+        if not ranks:
+            raise InvalidRank("ranks must not be empty")
+        _check_ranks(ranks, d)
     two_qubit = (dimA, dimB) == (2, 2)
     cycle = np.asarray(ranks if ranks is not None else range(1, d + 1))
     grid = _pair_grid(dimA, dimB)
@@ -388,44 +402,20 @@ class BasisResult:
     exact: float
 
 
-def _expi(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u = exp(iH), with H's eigenvalues and eigenvectors, for H = ((1+i) M + (1-i) M^T) / 2.
-
-    M is the real n x n matrix p holds, so H_jk = (M_jk + M_kj)/2 +
-    i (M_jk - M_kj)/2: a linear bijection from n^2 real parameters onto the
-    Hermitian matrices.
-    """
-    m = p.reshape(n, n)
-    lam, v = np.linalg.eigh(0.5 * ((1.0 + 1.0j) * m + (1.0 - 1.0j) * m.T))
-    return (v * np.exp(1j * lam)) @ v.conj().T, lam, v
-
-
-def _expi_grad(gu: np.ndarray, lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Back-propagate a gradient gu of u = exp(iH) to the parameters of H.
-
-    By the Daleckii-Krein formula du = V (L o (V^dag dH V)) V^dag, where L
-    holds the divided differences (e^{i a} - e^{i b}) / (a - b) of exp(i x)
-    at H's eigenvalues, i e^{i a} where a = b; written with sinc they need no
-    case for equal eigenvalues.  Gradients are d/dRe + i d/dIm, as in
-    highdim._column_concurrence.
-    """
-    dd = 1j * np.exp(0.5j * (lam[:, None] + lam)) * np.sinc((lam[:, None] - lam) / (2 * np.pi))
-    gh = v @ (dd.conj() * (v.conj().T @ gu @ v)) @ v.conj().T
-    return (0.5 * ((1.0 - 1.0j) * gh + (1.0 + 1.0j) * gh.T)).real.ravel()
-
-
 def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
                   pair: tuple[int, int, int, int]) -> tuple[float, np.ndarray]:
     """Negated margin of pair (i, j, k, l) (see _pair_terms) in a local basis, and its gradient.
 
-    params holds the generators of uA = exp(iH_A) and uB = exp(iH_B) (dimA^2
-    and dimB^2 real numbers, see _expi), and the margin is read from
+    params holds a dimA x dimA and then a dimB x dimB complex matrix, each
+    laid out as _isometry reads it (2 dimA^2 + 2 dimB^2 real numbers); uA and
+    uB are their unitary QR factors, and the margin is read from
     rho' = U rho U^dag with U = uA (x) uB.  Where |coh| or root is 0 that term
     contributes gradient 0, as _column_concurrence does where its value is 0.
     """
     i, j, k, l = pair
-    uA, lamA, vA = _expi(params[: dimA * dimA], dimA)
-    uB, lamB, vB = _expi(params[dimA * dimA :], dimB)
+    nA = 2 * dimA * dimA
+    uA, triA = _isometry(params[:nA], dimA, dimA)
+    uB, triB = _isometry(params[nA:], dimB, dimB)
     u = _local_product(uA, uB)
     r = u @ rho @ u.conj().T
     coh, root = _pair_terms(r, dimA, dimB, i, j, k, l)
@@ -441,17 +431,18 @@ def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
     gu = ((g + g.conj().T) @ u @ rho).reshape(dimA, dimB, dimA, dimB)
     gA = np.einsum("abcd,bd->ac", gu, uB.conj())
     gB = np.einsum("abcd,ac->bd", gu, uA.conj())
-    grad = np.concatenate([_expi_grad(gA, lamA, vA), _expi_grad(gB, lamB, vB)])
+    grad = np.concatenate([_isometry_grad(uA, triA, gA), _isometry_grad(uB, triB, gB)])
     return -2.0 * (coh - root), -grad
 
 
 def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> BasisResult:
     """Search local unitaries uA, uB maximizing the X bound of the rotated state.
 
-    uA = exp(iH_A) and uB = exp(iH_B) with Hermitian generators.  Each X
-    witness's margin is maximized on its own by L-BFGS with its analytic
-    gradient (_basis_margin), from the identity and then from seeded random
-    generators, each drawn in turn; the result is the best X bound.  The search
+    uA and uB are the unitary QR factors of unconstrained complex matrices
+    (_isometry, the map of the roof search).  Each X witness's margin is
+    maximized on its own by L-BFGS with its analytic gradient
+    (_basis_margin), from the identity and then from seeded random Gaussian
+    matrices, each drawn in turn; the result is the best X bound.  The search
     stops once the bound reaches the exact concurrence, which no basis
     exceeds.  The identity start guarantees the result never falls below the
     bound in the original basis.
@@ -467,18 +458,20 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     best_uA, best_uB = np.eye(dimA, dtype=complex), np.eye(dimB, dtype=complex)
     orig = best_bound = rotated_bound(best_uA, best_uB)
     rng = np.random.default_rng(cfg.seed)
-    n_par = dimA * dimA + dimB * dimB
+    nA = 2 * dimA * dimA
     pairs = np.stack(np.broadcast_arrays(*grid), axis=-1).reshape(-1, 4)
-    x0 = np.zeros(n_par)  # start 0 is the identity
+    # Start 0 is the identity, in _isometry's layout.
+    x0 = np.concatenate([np.eye(dimA).ravel(), np.zeros(dimA * dimA),
+                         np.eye(dimB).ravel(), np.zeros(dimB * dimB)])
     for run in range(cfg.restarts * len(pairs)):
         if best_bound >= exact - _EXACT_TOL:
             break
         start, w = divmod(run, len(pairs))
         if start > 0 and w == 0:
-            x0 = rng.standard_normal(n_par)
+            x0 = rng.standard_normal(x0.size)
         res = minimize(_basis_margin, x0, args=(q.mat, dimA, dimB, pairs[w]),
                        maxiter=cfg.max_iters, ftol=_BASIS_TOL, gtol=_BASIS_TOL)
-        uA, uB = _expi(res.x[: dimA * dimA], dimA)[0], _expi(res.x[dimA * dimA :], dimB)[0]
+        uA, uB = _isometry(res.x[:nA], dimA, dimA)[0], _isometry(res.x[nA:], dimB, dimB)[0]
         value = rotated_bound(uA, uB)
         if value > best_bound:
             best_bound, best_uA, best_uB = value, uA, uB

@@ -4,7 +4,7 @@ xbench/tracing.py wraps the functions in its TARGETS, and xbench/workloads.py
 cuts calls into timed segments by replacing a module attribute by name
 (_with_marks).  A renamed or removed target fails every benchmark pass, so
 these checks load both files as they are and look each name up, count the
-calls that the bound-nxn marks wrap, and run that workload briefly.
+calls that the bound-nxn marks wrap, and run bound-nxn and oracle briefly.
 """
 import ast
 import importlib
@@ -14,6 +14,8 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 XBENCH = Path(__file__).resolve().parents[1] / "xbench"
 
@@ -65,12 +67,14 @@ def test_bound_marks_fire_twice_per_state(monkeypatch):
         assert calls == [(range(3), 2), (range(4), 2)] * n
 
 
-def test_benchmark_smoke_run():
-    # The workload this package's one-state path serves, end to end: a short
-    # run must be correct, with no failed pass and every end-to-end metric.
+@pytest.mark.parametrize("workload", ["bound-nxn", "oracle"])
+def test_benchmark_smoke_run(workload):
+    # The one-state path and the two searches, end to end: a short run must
+    # be correct, with no failed pass and every end-to-end metric.  On oracle
+    # that is xbench/checks.py's check_roof and check_basis on every result.
     # --trace 1 is left out: it writes under xbench/results/.
     root = XBENCH.parent
-    proc = subprocess.run([sys.executable, "xbench/run.py", "--workload", "bound-nxn",
+    proc = subprocess.run([sys.executable, "xbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0.2", "--trace", "0"],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -52,6 +52,9 @@ FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
 # The two pairs (i, j, k, l) of the 2x2 pair grid: the witnesses of c1 and c2.
 X_PAIRS = [tuple(int(n) for n in p)
            for p in np.stack(np.broadcast_arrays(*_pair_grid(2, 2)), axis=-1).reshape(-1, 4)]
+# The identity start of the 2x2 basis search: uA's and then uB's matrix,
+# each as oracle._isometry reads it (real parts, then imaginary parts).
+BASIS_EYE = np.tile(np.concatenate([np.eye(2).ravel(), np.zeros(4)]), 2)
 ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8), ((3, 2), 2, 4),
                        ((2, 4), 4, 8)]
 
@@ -188,7 +191,7 @@ class TestConvexRoof:
         noise = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         z = {"random": noise, "identity": np.eye(m, r),
              "near-identity": np.eye(m, r) + 1e-9 * noise}[start]
-        iso, tri = _isometry(z)
+        iso, tri = _isometry(np.concatenate([z.real.ravel(), z.imag.ravel()]), m, r)
         assert np.abs(iso.conj().T @ iso - np.eye(r)).max() <= 1e-12
         assert np.abs(iso @ tri - z).max() <= 1e-12
         assert np.all(np.tril(tri, -1) == 0.0)
@@ -332,7 +335,7 @@ class TestMinimize:
         rotated = conjugate_by_local_unitary(
             projector(bell_phi_plus()), sample_haar_unitary(2, 21), sample_haar_unitary(2, 22)
         )
-        for x0 in (np.zeros(8), np.random.default_rng(3).standard_normal(8)):
+        for x0 in (BASIS_EYE, np.random.default_rng(3).standard_normal(16)):
             self.assert_matches_scipy(_basis_margin, x0, (rotated.mat, 2, 2, pair),
                                       maxiter=2000, ftol=1e-12, gtol=1e-12)
 
@@ -429,15 +432,17 @@ class TestFuzz:
         with pytest.raises(error, match="must be an integer"):
             fuzz_inequality(trials, dims, seed)
 
-    def test_non_integer_rank(self):
+    def test_non_integer_rank(self, no_sampling):
         with pytest.raises(InvalidRank, match="rank must be an integer"):
             fuzz_inequality(3, (2, 2), 0, [1.5])
 
     @pytest.mark.parametrize("ranks,dims", [([0], (2, 2)), ([5], (2, 2)), ([], (2, 2)),
-                                            ([], (3, 3))])
-    def test_invalid_rank(self, ranks, dims):
+                                            ([], (3, 3)), ([1] * 8 + [0], (8, 8))])
+    def test_invalid_rank(self, no_sampling, ranks, dims):
+        # The whole rank cycle is checked first, not chunk by chunk: at 8x8
+        # a chunk is 8 trials, so trial 8 of rank 0 comes after one chunk.
         with pytest.raises(InvalidRank):
-            fuzz_inequality(3, dims, 0, ranks)
+            fuzz_inequality(9, dims, 0, ranks)
 
     def test_3x3_small(self):
         rep = fuzz_inequality(9, (3, 3), 7)
@@ -480,7 +485,7 @@ class TestOptimizeBasis:
     def test_basis_margin_gradient(self, witness):
         for seed in range(4):
             q = sample_random_density(2, 2, seed + 1, 40 + seed)
-            starts = [np.zeros(8), np.random.default_rng(seed).standard_normal(8)]
+            starts = [BASIS_EYE, np.random.default_rng(seed).standard_normal(16)]
             for x in starts:
                 grad = _basis_margin(x, q.mat, 2, 2, witness)[1]
                 numeric = central_difference(
@@ -490,7 +495,7 @@ class TestOptimizeBasis:
     def test_basis_margin_at_identity_is_the_x_margin(self):
         q = sample_random_density(2, 2, 3, 5)
         rep = x_concurrence(x_decompose(q)[0])
-        margins = [-_basis_margin(np.zeros(8), q.mat, 2, 2, p)[0] for p in X_PAIRS]
+        margins = [-_basis_margin(BASIS_EYE, q.mat, 2, 2, p)[0] for p in X_PAIRS]
         assert margins == [rep.c1, rep.c2]
 
     @pytest.mark.parametrize("unreachable,restarts,draws", [(False, 10**6, 0), (True, 3, 2)],
