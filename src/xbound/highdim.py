@@ -28,7 +28,6 @@ _ROUNDOFF_ULPS = 16
 _EPS = float(np.finfo(float).eps)
 # A lower bound may exceed the concurrence it bounds by this much, for roundoff.
 _EXACT_TOL = 1e-10
-_MINOR_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -65,28 +64,23 @@ def _column_concurrence(cols: np.ndarray, dimA: int, dimB: int, smoothing: float
     smoothing = 0 gives the concurrence itself and smoothing > 0 rounds off
     its kink at product columns.  With grad=True the result is (values,
     gradient), the gradient being d/dRe + i d/dIm of each value, and 0 where
-    the value is 0.
+    the value is 0.  Values alone at 2x2 are 2|ad - bc|, which keeps its
+    digits on near-product columns; the general form loses half of them.
     """
-    two_qubit = dimA == 2 and dimB == 2
-    if two_qubit:
+    if dimA == 2 and dimB == 2 and not grad:
         g = cols[0] * cols[3] - cols[1] * cols[2]
-        sq = 4.0 * (g.real**2 + g.imag**2)
-    else:
-        # One dimA x dimB amplitude matrix per column; gram is its reduced
-        # state, Hermitian, so Tr[gram^2] is the sum of |gram|^2.
-        mats = cols.T.reshape(-1, dimA, dimB)
-        gram = mats @ mats.conj().transpose(0, 2, 1)
-        tr = gram.trace(axis1=1, axis2=2).real
-        tr2 = np.square(gram.view(float)).sum(axis=(1, 2))
-        sq = np.maximum(2.0 * (tr * tr - tr2), 0.0)
+        return np.sqrt(4.0 * (g.real**2 + g.imag**2) + smoothing * smoothing)
+    # One dimA x dimB amplitude matrix per column; gram is its reduced
+    # state, Hermitian, so Tr[gram^2] is the sum of |gram|^2.
+    mats = cols.T.reshape(-1, dimA, dimB)
+    gram = mats @ mats.conj().transpose(0, 2, 1)
+    tr = gram.trace(axis1=1, axis2=2).real
+    tr2 = np.square(gram.view(float)).sum(axis=(1, 2))
+    sq = np.maximum(2.0 * (tr * tr - tr2), 0.0)
     conc = np.sqrt(sq + smoothing * smoothing)
     if not grad:
         return conc
-    if two_qubit:
-        # d(ad - bc) by a, b, c, d is (d, -c, -b, a): the rows reversed, signed.
-        num = g * (cols[::-1] * _MINOR_SIGNS).conj()
-    else:
-        num = (tr[:, None, None] * mats - gram @ mats).reshape(-1, dimA * dimB).T
+    num = (tr[:, None, None] * mats - gram @ mats).reshape(-1, dimA * dimB).T
     return conc, num * np.divide(4.0, conc, out=np.zeros_like(conc), where=conc > 0.0)
 
 

@@ -1,8 +1,10 @@
 """Numerical ground truth and adversarial search.
 
-convex_roof_upper minimizes the ensemble-average pure-state concurrence over
-pure decompositions by L-BFGS with an analytic gradient; the result is an
-upper bound on the true concurrence.
+convex_roof_upper returns a pure decomposition and its average concurrence,
+an upper bound on the true concurrence.  On two qubits the decomposition is
+Wootters' optimal one (two_qubit._wootters_decomposition), so the bound is
+the exact value; in larger dimensions it minimizes the ensemble average over
+pure decompositions by L-BFGS with an analytic gradient.
 fuzz_inequality hammers the lower bound against that reference (or against the
 exact two-qubit value).  optimize_basis searches local unitaries for the
 basis that maximizes the X bound, by L-BFGS on the analytic gradient of each
@@ -23,14 +25,14 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize._lbfgsb import setulb
 
-from .errors import InvalidRank, OutOfRange, WrongDimensions
+from .errors import InvalidRank, InvariantViolation, OutOfRange, WrongDimensions
 from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _column_concurrence,
                       _pair_grid, _pair_terms, generalized_lower_bound)
 # sample_random_density is unused here, but the benchmark's fuzz-2q marks
 # replace it in this module by name, so it stays importable from it.
 from .linalg import (DensityMatrix, PureState, _check_int, _check_ranks,  # noqa: F401
                      _local_product, _trial_densities, sample_random_density)
-from .two_qubit import _wootters_factor, wootters_concurrence
+from .two_qubit import _wootters_decomposition, _wootters_factor, wootters_concurrence
 
 _RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
@@ -217,16 +219,26 @@ def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
 
 
 def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> RoofResult:
-    """Upper-bound the concurrence by minimizing over pure decompositions.
+    """Upper-bound the concurrence by the average over a pure decomposition.
 
-    Decompositions of size m are parameterized by m x r isometries mixing the
-    scaled eigenvectors (every size-m ensemble arises this way); the isometry
-    comes from the QR factorization of an unconstrained complex matrix, and
-    the objective is minimized by L-BFGS with its analytic gradient, from the
-    eigendecomposition and then from seeded random starts.  _ROOF_TOL is
-    L-BFGS's ftol and gtol, and cfg.max_iters its maxiter in each stage.
-    The result is the end point of whichever stage, over all starts, has the
-    lowest exact (unsmoothed) average.
+    At rank 1 the decomposition is the state itself.  Otherwise a
+    cfg.decomp_size below the rank raises OutOfRange first.  On two qubits
+    the result is Wootters' optimal decomposition of the scaled
+    eigenvectors (two_qubit._wootters_decomposition), at most 4 states, and
+    its value is the witness's own average, which equals the exact
+    concurrence; an average more than _EXACT_TOL from the Wootters kernel
+    on the same factor raises InvariantViolation.  cfg.restarts, max_iters
+    and seed are unused there.
+
+    In larger dimensions decompositions of size m are parameterized by
+    m x r isometries mixing the scaled eigenvectors (every size-m ensemble
+    arises this way); the isometry comes from the QR factorization of an
+    unconstrained complex matrix, and the objective is minimized by L-BFGS
+    with its analytic gradient, from the eigendecomposition and then from
+    seeded random starts.  _ROOF_TOL is L-BFGS's ftol and gtol, and
+    cfg.max_iters its maxiter in each stage.  The result is the end point of
+    whichever stage, over all starts, has the lowest exact (unsmoothed)
+    average.
     """
     evals, vecs = np.linalg.eigh(q.mat)
     keep = evals > _RANK_TOL
@@ -243,18 +255,22 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
         value = float(_column_concurrence(psi[:, None], dimA, dimB)[0])
         return RoofResult(value=value, witness=cand)
 
-    # For two qubits an optimal decomposition of size 4 always exists, and
-    # ensembles that large make the landscape much easier than m = r (rank-3
-    # separable states reliably stall at m = 3); elsewhere larger ensembles
-    # can be strictly better, so allow up to min(r^2, 8).
-    if cfg.decomp_size is not None:
-        m = cfg.decomp_size
-    elif (dimA, dimB) == (2, 2):
-        m = max(r, min(r * r, 4))
-    else:
-        m = max(r, min(r * r, 8))
+    # Larger ensembles than m = r can be strictly better, so allow up to
+    # min(r^2, 8).
+    m = cfg.decomp_size if cfg.decomp_size is not None else max(r, min(r * r, 8))
     if m < r:
         raise OutOfRange(f"decomposition size {m} below rank {r}")
+
+    if (dimA, dimB) == (2, 2):
+        cand = _candidate(_wootters_decomposition(w), dimA, dimB)
+        amps = np.stack([psi.amps for psi in cand.states], axis=1)
+        value = float(cand.weights @ _column_concurrence(amps, dimA, dimB))
+        exact = float(_wootters_factor(w, 1.0))
+        if abs(value - exact) > _EXACT_TOL:
+            raise InvariantViolation(
+                f"Wootters decomposition average {value:.12g} differs from the exact "
+                f"concurrence {exact:.12g}")
+        return RoofResult(value=value, witness=cand)
     n_par = 2 * m * r
 
     def objective(x: np.ndarray, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
@@ -286,15 +302,19 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
             if value < best_val:
                 best_val, best_x = value, x
 
-    cols = w @ _isometry(best_x, m, r)[0].T
+    cand = _candidate(w @ _isometry(best_x, m, r)[0].T, dimA, dimB)
+    return RoofResult(value=float(best_val), witness=cand)
+
+
+def _candidate(cols: np.ndarray, dimA: int, dimB: int) -> DecompositionCandidate:
+    """The ensemble of the subnormalized columns of cols, those of weight above 1e-14."""
     weights, states = [], []
-    for j in range(m):
-        p = float(np.linalg.norm(cols[:, j]) ** 2)
+    for col in cols.T:
+        p = float(np.linalg.norm(col) ** 2)
         if p > 1e-14:
             weights.append(p)
-            states.append(PureState(dimA, dimB, cols[:, j] / math.sqrt(p)))
-    cand = DecompositionCandidate(weights=np.array(weights), states=states)
-    return RoofResult(value=float(best_val), witness=cand)
+            states.append(PureState(dimA, dimB, col / math.sqrt(p)))
+    return DecompositionCandidate(weights=np.array(weights), states=states)
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,20 @@ consists of the diagonal plus the (0,3) and (1,2) coherences (and conjugates).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import OutOfRange, WrongDimensions
-from .highdim import (_MINOR_SIGNS, _best_margin, _check_below_exact, _column_concurrence,
+from .highdim import (_EPS, _ROUNDOFF_ULPS, _best_margin, _check_below_exact, _column_concurrence,
                       _pair_grid)
 from .linalg import DensityMatrix, PureState, clipped_sqrt
 
+# The signs that turn a reversed column (d, c, b, a) into -sy(x)sy (a, b, c, d).
+_MINOR_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 # The two X witnesses (c1, c2), built once: highdim._pair_grid(2, 2) is read-only.
 _X_GRID = _pair_grid(2, 2)
 
@@ -97,6 +101,16 @@ def pure_concurrence_2q(psi: PureState) -> float:
     return float(_column_concurrence(psi.amps[:, None], 2, 2)[0])
 
 
+def _spin_flip(a: np.ndarray) -> np.ndarray:
+    """The complex symmetric r x r matrix a^T (-sy(x)sy) a of a (..., 4, r) stack a.
+
+    -sy(x)sy is applied as a row reversal signed by _MINOR_SIGNS.
+    Its diagonal holds each column's preconcurrence, 2(ad - bc), whose
+    modulus is the column's concurrence.
+    """
+    return np.swapaxes(a, -1, -2) @ (a[..., ::-1, :] * _MINOR_SIGNS)
+
+
 def _wootters_factor(a: np.ndarray, s) -> np.ndarray:
     """Exact concurrence of every two-qubit state rho = a a^dag / s, for a (..., 4, r) stack a.
 
@@ -105,8 +119,8 @@ def _wootters_factor(a: np.ndarray, s) -> np.ndarray:
     rho (sy(x)sy) rho* (sy(x)sy).  They are the singular values of the
     r x r matrix a^T (sy(x)sy) a / s, zero-padded to 4, so no square root of
     a near-zero eigenvalue is taken.  sy(x)sy is applied as a signed row
-    reversal, with highdim._MINOR_SIGNS: that is -sy(x)sy, and no singular
-    value sees the sign.  s broadcasts against the stack's shape.
+    reversal (_spin_flip): that is -sy(x)sy, and no singular value sees the
+    sign.  s broadcasts against the stack's shape.
 
     The form depends only on r.  At r = 1 the value is |m| / s.  At r = 2 it
     is (s1^2 - s2^2) / (s1 + s2) / s, with s1^2 - s2^2 = hypot(p00 - p11,
@@ -117,7 +131,7 @@ def _wootters_factor(a: np.ndarray, s) -> np.ndarray:
     cubic or quartic in the l_i^2, and so square roots of near-zero
     eigenvalues again.
     """
-    m = np.swapaxes(a, -1, -2) @ (a[..., ::-1, :] * _MINOR_SIGNS)
+    m = _spin_flip(a)
     r = m.shape[-1]
     if r == 1:
         return np.abs(m[..., 0, 0]) / s
@@ -145,6 +159,101 @@ def wootters_concurrence(q: DensityMatrix) -> float:
     """Exact two-qubit concurrence of q (Wootters, PRL 80, 2245 (1998)); see _wootters."""
     _require_2x2(q)
     return float(_wootters(q.mat))
+
+
+# The real orthogonal 4 x 4 mixing of the separable case: every entry is +-1/2.
+_HADAMARD = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                            [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
+def _takagi(tau: np.ndarray, tiny: float) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and a unitary u with tau conj(u) = u diag(sigma), for a complex symmetric r x r tau.
+
+    Each eigenvector (a; b) of the real symmetric [[Re tau, Im tau],
+    [Im tau, -Re tau]] with eigenvalue sigma gives u = a + ib, and its
+    partner (-b; a) has eigenvalue -sigma.  The r largest eigenvalues, in
+    decreasing order, are taken; those at most tiny are roundoff, set to 0,
+    and their columns come from the QR completion of the others, which
+    also makes u unitary to roundoff.
+    """
+    r = tau.shape[0]
+    big = np.empty((2 * r, 2 * r))
+    big[:r, :r], big[:r, r:], big[r:, :r], big[r:, r:] = tau.real, tau.imag, tau.imag, -tau.real
+    evals, vecs, info = lapack.dsyev(big)
+    if info:
+        raise np.linalg.LinAlgError(f"no Takagi factorization (dsyev info {info})")
+    sigma, top = evals[: r - 1 : -1], vecs[:, : r - 1 : -1]
+    kept = np.count_nonzero(sigma > tiny)
+    sigma[kept:] = 0.0
+    basis = np.hstack([top[:r, :kept] + 1j * top[r:, :kept], np.eye(r)])
+    qr, householder, _, _ = lapack.zgeqrf(basis)
+    return sigma, lapack.zungqr(qr[:, :r], householder)[0]
+
+
+def _triangle_angles(a: float, b: float, base: float) -> tuple[float, float]:
+    """alpha, beta >= 0 with a e^{i alpha} + b e^{-i beta} = base, for a >= b and a triangle.
+
+    The area comes from Kahan's stable form of Heron's formula, and atan2
+    of it against the law of cosines keeps every digit of a flat
+    triangle's angles, where acos of the cosine keeps half of them.
+    """
+    x, y, z = sorted((a, b, base), reverse=True)
+    area4 = math.sqrt(max(0.0, (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))))
+    d = a - b
+    return (math.atan2(area4, base * base + d * (a + b)),
+            math.atan2(area4, (base - d) * (base + d) - 2.0 * d * b))
+
+
+def _closure_phases(lam: np.ndarray) -> np.ndarray:
+    """Phases theta with sum_j lam_j e^{i theta_j} = 0, for decreasing lam with l1 <= l2 + l3 + l4.
+
+    Two triangles on the base L = max(l1 - l2, l3 - l4): l1 e^{i t1} +
+    l2 e^{i t2} = L and l3 e^{i t3} + l4 e^{i t4} = -L.
+    """
+    l1, l2, l3, l4 = lam.tolist()
+    base = max(l1 - l2, l3 - l4)
+    if base == 0.0:  # l1 = l2 and l3 = l4: two opposite pairs
+        return np.array([0.0, math.pi, 0.0, math.pi])
+    t1, t2 = _triangle_angles(l1, l2, base)
+    t3, t4 = _triangle_angles(l3, l4, base)
+    return np.array([t1, -t2, math.pi + t3, math.pi - t4])
+
+
+def _wootters_decomposition(w: np.ndarray) -> np.ndarray:
+    """The columns of an optimal pure decomposition of rho = w w^dag, for a 4 x r factor w.
+
+    Wootters' construction (PRL 80, 2245 (1998)).  The Takagi vectors u of
+    tau = _spin_flip(w) give columns w conj(u) whose preconcurrences are
+    the Wootters l_i and whose cross terms vanish.  Entangled (l1 > l2 +
+    l3 + l4): columns 2..r are multiplied by i, so their preconcurrences
+    are -l_k, and one real Givens rotation against column 1 per column k
+    zeroes column k's and leaves l1 - l2 - ... - l_k in column 1; r columns
+    result.  Otherwise the columns get phases e^{i theta / 2} with
+    sum l_j e^{i theta_j} = 0 (_closure_phases), are padded to 4 and mixed
+    by _HADAMARD, which gives every column preconcurrence sum l_j
+    e^{i theta_j} / 4 = 0; 4 product columns result.  Every mixing is
+    unitary, so the columns reproduce rho; their concurrences sum to
+    max(0, l1 - l2 - l3 - l4).
+    """
+    r = w.shape[1]
+    scale = float((w.real**2 + w.imag**2).sum())  # Tr rho, which bounds every l_i
+    sigma, u = _takagi(_spin_flip(w), _ROUNDOFF_ULPS * _EPS * scale)
+    lam = np.zeros(4)
+    lam[:r] = sigma
+    mix = u.conj()
+    if lam[0] > lam[1:].sum():
+        mix[:, 1:] *= 1j
+        g = lam[0]  # column 1's preconcurrence
+        for k in range(1, r):
+            c, s = math.sqrt(g / (g + lam[k])), math.sqrt(lam[k] / (g + lam[k]))
+            first, other = mix[:, 0].copy(), mix[:, k]
+            mix[:, 0] = c * first - s * other
+            mix[:, k] = s * first + c * other
+            g -= lam[k]
+    else:
+        phased = mix * np.exp(0.5j * _closure_phases(lam)[:r])
+        mix = np.hstack([phased, np.zeros((r, 4 - r))]) @ _HADAMARD
+    return w @ mix
 
 
 def x_lower_bound(q: DensityMatrix) -> BoundReport:

@@ -4,7 +4,7 @@ xbench/tracing.py wraps the functions in its TARGETS, and xbench/workloads.py
 cuts calls into timed segments by replacing a module attribute by name
 (_with_marks).  A renamed or removed target fails every benchmark pass, so
 these checks load both files as they are and look each name up, count the
-calls that the bound-nxn marks wrap, and run bound-nxn and oracle briefly.
+calls that the bound-nxn marks wrap, and run each of the three workloads briefly.
 """
 import ast
 import importlib
@@ -67,11 +67,13 @@ def test_bound_marks_fire_twice_per_state(monkeypatch):
         assert calls == [(range(3), 2), (range(4), 2)] * n
 
 
-@pytest.mark.parametrize("workload", ["bound-nxn", "oracle"])
+@pytest.mark.parametrize("workload", ["fuzz-2q", "bound-nxn", "oracle"])
 def test_benchmark_smoke_run(workload):
-    # The one-state path and the two searches, end to end: a short run must
-    # be correct, with no failed pass and every end-to-end metric.  On oracle
-    # that is xbench/checks.py's check_roof and check_basis on every result.
+    # The two-qubit fuzz, the one-state path and the oracle, end to end: a
+    # short run must be correct, with no failed pass and every end-to-end
+    # metric.  That is xbench/checks.py's check_fuzz on every fuzz report,
+    # check_bound on every bound and, on oracle, check_roof and check_basis
+    # on every result.
     # --trace 1 is left out: it writes under xbench/results/.
     root = XBENCH.parent
     proc = subprocess.run([sys.executable, "xbench/run.py", "--workload", workload,

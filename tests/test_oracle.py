@@ -18,6 +18,7 @@ from xbound import (
     convex_roof_upper,
     fuzz_inequality,
     generalized_lower_bound,
+    i_concurrence_pure,
     optimize_basis,
     projector,
     pure_concurrence_2q,
@@ -215,7 +216,7 @@ class TestConvexRoof:
     def test_keeps_best_stage(self, monkeypatch):
         # A final stage that ends above the 1e-6 stage must not replace its
         # point, neither in the value nor in the witness.
-        q = sample_random_density(2, 2, 3, 5)
+        q = sample_random_density(2, 3, 3, 5)
         minimize = oracle.minimize
         exact = {}
 
@@ -234,9 +235,11 @@ class TestConvexRoof:
         assert exact[0.0] > exact[1e-6] <= exact[1e-3]
         assert res.value == exact[1e-6]
         witness = res.witness
-        average = sum(p * pure_concurrence_2q(psi) for p, psi in zip(witness.weights,
-                                                                    witness.states))
-        assert average == pytest.approx(res.value, abs=1e-12)
+        average = sum(p * i_concurrence_pure(psi) for p, psi in zip(witness.weights,
+                                                                   witness.states))
+        # Off 2x2 the kernel's value of a near-product column carries roundoff
+        # of about 1e-8 times its weight, so the two sums agree to 1e-9.
+        assert average == pytest.approx(res.value, abs=1e-9)
 
     @pytest.mark.parametrize("dims,rank,m", ROOF_GRADIENT_CASES)
     def test_ensemble_average_gradient(self, dims, rank, m):
@@ -298,6 +301,98 @@ class TestConvexRoof:
         res = convex_roof_upper(q, OptimizerConfig(restarts=1, max_iters=150))
         assert res.value >= generalized_lower_bound(q).bound - 1e-9
         assert res.witness.reconstruction_residual(q) <= 1e-8
+
+
+def bell_diagonal(p):
+    """sum_k p_k |B_k><B_k| over the Bell states Phi+, Phi-, Psi+, Psi-."""
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    return np.einsum("k,ki,kj->ij", p, bells, bells)
+
+
+def local_state(a, b):
+    """The qubit state a|0><0| + (1-a)|1><1| + b|0><1| + b*|1><0|."""
+    return np.array([[a, b], [np.conj(b), 1.0 - a]])
+
+
+# Named states that pin the closed form's degenerate cases; True marks a
+# separable state.
+NAMED_2Q = {
+    # The spin-flip matrix is 0, so every Takagi vector comes from the QR
+    # completion: exactly 0 in the first state, roundoff in the second.
+    "diag(1/2,1/2,0,0)": (np.diag([0.5, 0.5, 0.0, 0.0]), True),
+    "I/2 (x) |a><a|": (np.kron(np.eye(2) / 2, local_state(0.36, -0.48j)), True),
+    "I/4": (np.eye(4) / 4, True),  # l1 = l2 = l3 = l4
+    "diag(1/2,0,0,1/2)": (np.diag([0.5, 0.0, 0.0, 0.5]), True),  # l1 = l2, l3 = l4 = 0
+    # a product of two full-rank local states: all four l_i equal
+    "full-rank product": (np.kron(local_state(0.7, 0.2 + 0.1j), local_state(0.6, -0.1j)), True),
+    # three product terms: rank 3, so l4 = 0 and one triangle is flat
+    "rank-3 separable": (random_product_mixture(8, terms=3).mat, True),
+    **{f"werner p={p:.2f}": (werner_state(p).mat, p <= 1 / 3)
+       for p in np.linspace(0.0, 0.95, 20)},
+    **{f"bell-diagonal {p}": (bell_diagonal(np.array(p)), max(p) <= 0.5)
+       for p in [(0.25,) * 4, (0.5, 0.5, 0, 0), (0.5, 0.25, 0.25, 0), (0.4, 0.3, 0.2, 0.1),
+                 (0.6, 0.2, 0.2, 0), (0.6, 0.4, 0, 0), (0.9, 0.05, 0.05, 0),
+                 (0.5, 0.5 - 1e-9, 1e-9, 0)]},
+}
+
+
+def closed_form_errors(q, separable):
+    """The five errors the two-qubit closed form is held to, each at most 1e-12."""
+    res = convex_roof_upper(q)
+    w = res.witness
+    assert len(w.states) <= 4
+    amps = np.array([psi.amps for psi in w.states])
+    conc = 2 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
+    return {
+        "value": abs(res.value - wootters_concurrence(q)),
+        "reconstruction": w.reconstruction_residual(q),
+        "weights": max(abs(w.weights.sum() - 1.0), -w.weights.min()),
+        "average": abs(w.weights @ conc - res.value),
+        "separable": conc.max() if separable else 0.0,
+    }
+
+
+class TestWoottersDecomposition:
+    """At 2x2, convex_roof_upper returns Wootters' optimal decomposition, not a search."""
+
+    @staticmethod
+    def assert_exact(states):
+        worst = {}
+        for q, separable in states:
+            for name, err in closed_form_errors(q, separable).items():
+                worst[name] = max(worst.get(name, 0.0), err)
+        assert max(worst.values()) <= 1e-12, worst
+
+    def test_ginibre_sweep(self):
+        self.assert_exact(
+            (sample_random_density(2, 2, t % 3 + 2, np.random.SeedSequence([2212, t])), False)
+            for t in range(4000))
+
+    def test_product_mixtures(self):
+        self.assert_exact((random_product_mixture(seed, terms=seed % 4 + 1), True)
+                          for seed in range(500))
+
+    @pytest.mark.parametrize("name", NAMED_2Q)
+    def test_named_state(self, name):
+        mat, separable = NAMED_2Q[name]
+        self.assert_exact([(validate_density(mat.astype(complex), 2, 2), separable)])
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_runs_no_search(self, monkeypatch, rank):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched at 2x2")
+        monkeypatch.setattr(oracle, "minimize", no_search)
+        for seed in range(5):
+            q = sample_random_density(2, 2, rank, seed)
+            res = convex_roof_upper(q, OptimizerConfig(restarts=3, seed=seed))
+            assert res.value == pytest.approx(wootters_concurrence(q), abs=1e-12)
+            assert rank <= len(res.witness.states) <= 4
+
+    def test_guard(self, monkeypatch):
+        # A decomposition whose average is not the Wootters value is a fault.
+        monkeypatch.setattr(oracle, "_wootters_factor", lambda a, s: np.float64(2.0))
+        with pytest.raises(InvariantViolation, match="differs from the exact"):
+            convex_roof_upper(werner_state(0.8))
 
 
 class TestMinimize:

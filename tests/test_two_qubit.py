@@ -28,9 +28,8 @@ from xbound.reference_states import (
     werner_exact_concurrence,
     werner_state,
 )
-from xbound.highdim import _MINOR_SIGNS
 from xbound.linalg import _trial_densities, clipped_sqrt
-from xbound.two_qubit import _wootters, _wootters_factor
+from xbound.two_qubit import _MINOR_SIGNS, _wootters, _wootters_factor
 
 CHI_C = 0.5 - math.sqrt(2.0) / 3.0  # 2|alpha*delta - beta*gamma| for chi
 
