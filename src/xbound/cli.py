@@ -7,7 +7,7 @@ Exit codes are a stable contract:
   3  invariant violation (a bug: a fuzz counterexample, or a bound above exact)
 
 Input rules are the library's; main maps its StateValidationError to exit 2.
-The CLI checks only its own options: --seed, bound's --dims and --steps.
+The CLI checks only its own options: --seed, --tol, bound's --dims and --steps.
 """
 from __future__ import annotations
 
@@ -36,12 +36,8 @@ from .reference_states import (
 from .two_qubit import certify_from_elements, wootters_concurrence
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances.uniform(args.tol) if args.tol is not None else DEFAULT_TOL
-
-
 def cmd_bound(args) -> int:
-    q = load_density(args.input, _tolerances(args))
+    q = load_density(args.input, args.tol)
     if args.dims is not None and args.dims != (q.dimA, q.dimB):
         raise StateValidationError(
             f"--dims {args.dims[0]},{args.dims[1]} does not match "
@@ -72,7 +68,6 @@ def cmd_certify(args) -> int:
 def cmd_isotropic_sweep(args) -> int:
     if args.steps < 2:
         raise StateValidationError(f"--steps must be >= 2, got {args.steps}")
-    tol = _tolerances(args)
     rows = ["F,exact,bound,bound_from_matrix"]
     for n in range(args.steps):
         f = n / (args.steps - 1)
@@ -89,8 +84,7 @@ def cmd_isotropic_sweep(args) -> int:
     manifest = make_manifest(
         command=f"isotropic-sweep --d {args.d} --steps {args.steps}",
         input_hash=hash_text(csv_text),
-        seed=args.seed,
-        tol=tol,
+        seed=args.seed,  # the sweep's states are built at DEFAULT_TOL, whatever --tol says
     )
     write_manifest(manifest, args.out)
     print(f"wrote {args.out} ({args.steps} rows)")
@@ -107,7 +101,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_optimize_basis(args) -> int:
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    res = optimize_basis(load_density(args.input, _tolerances(args)), cfg)
+    res = optimize_basis(load_density(args.input, args.tol), cfg)
     print(f"original_bound={res.original_bound:.9f}")
     print(f"optimized_bound={res.best_bound:.9f}")
     print(f"exact={res.exact:.9f}")
@@ -117,7 +111,7 @@ def cmd_optimize_basis(args) -> int:
         command=f"optimize-basis --restarts {args.restarts}",
         input_hash=hash_file(args.input),
         seed=args.seed,
-        tol=_tolerances(args),
+        tol=args.tol,
     )
     write_manifest(manifest, args.out)
     print(f"wrote {args.out}")
@@ -187,6 +181,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise OutOfRange(f"--seed must be >= 0, got {args.seed}")
+        # Built here so that every command rejects a bad --tol, used or not.
+        args.tol = Tolerances.uniform(args.tol) if args.tol is not None else DEFAULT_TOL
         return args.func(args)
     except StateValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

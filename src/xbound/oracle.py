@@ -1,17 +1,17 @@
 """Numerical ground truth and adversarial search.
 
 convex_roof_upper returns a pure decomposition and its average concurrence,
-an upper bound on the true concurrence.  On two qubits the decomposition is
-Wootters' optimal one (two_qubit._wootters_decomposition), so the bound is
-the exact value; in larger dimensions it minimizes the ensemble average over
-pure decompositions by L-BFGS with an analytic gradient.
-fuzz_inequality hammers the lower bound against that reference (or against the
-exact two-qubit value).  optimize_basis searches local unitaries for the
-basis that maximizes the X bound, by L-BFGS on the analytic gradient of each
-X witness's margin.  Both searches take their isometries (the decomposition's
-mixing matrix, the local unitaries) as the QR factor of an unconstrained
-complex matrix (_isometry), back-propagate through it with _isometry_grad,
-and run through minimize, which drives scipy's L-BFGS-B core directly.
+an upper bound on the true concurrence.  It picks the decomposition's
+columns from the scaled eigenvectors (the state itself at rank 1, Wootters'
+optimal decomposition on two qubits, where the bound is exact, otherwise the
+best mixing that _roof_search finds by L-BFGS), then takes one value and one
+witness from them.  fuzz_inequality hammers the lower bound against that
+reference (or the exact two-qubit value).  optimize_basis searches local
+unitaries for the basis that maximizes the X bound, by L-BFGS on the
+analytic gradient of each X witness's margin.  Both searches take their
+isometries as the QR factor of an unconstrained complex matrix (_isometry),
+back-propagate through it with _isometry_grad, and run through minimize,
+which drives scipy's L-BFGS-B core directly.
 """
 from __future__ import annotations
 
@@ -221,89 +221,83 @@ def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,
 def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -> RoofResult:
     """Upper-bound the concurrence by the average over a pure decomposition.
 
-    At rank 1 the decomposition is the state itself.  Otherwise a
-    cfg.decomp_size below the rank raises OutOfRange first.  On two qubits
-    the result is Wootters' optimal decomposition of the scaled
-    eigenvectors (two_qubit._wootters_decomposition), at most 4 states, and
-    its value is the witness's own average, which equals the exact
-    concurrence; an average more than _EXACT_TOL from the Wootters kernel
-    on the same factor raises InvariantViolation.  cfg.restarts, max_iters
-    and seed are unused there.
-
-    In larger dimensions decompositions of size m are parameterized by
-    m x r isometries mixing the scaled eigenvectors (every size-m ensemble
-    arises this way); the isometry comes from the QR factorization of an
-    unconstrained complex matrix, and the objective is minimized by L-BFGS
-    with its analytic gradient, from the eigendecomposition and then from
-    seeded random starts.  _ROOF_TOL is L-BFGS's ftol and gtol, and
-    cfg.max_iters its maxiter in each stage.  The result is the end point of
-    whichever stage, over all starts, has the lowest exact (unsmoothed)
-    average.
+    The decomposition's subnormalized columns, sqrt(p) psi each, come from
+    the scaled eigenvectors w: w itself at rank 1, Wootters' optimal
+    decomposition of w on two qubits (two_qubit._wootters_decomposition, at
+    most 4 states, average exact), and otherwise w Q^T with the isometry Q
+    of _roof_search.  A cfg.decomp_size below the rank raises OutOfRange
+    first.  The value is the columns' summed concurrence, the witness's own
+    average since _column_concurrence is degree-2 homogeneous.  On two
+    qubits a value more than _EXACT_TOL from the Wootters kernel on w raises
+    InvariantViolation.  Only the search reads restarts, max_iters and seed.
     """
     evals, vecs = np.linalg.eigh(q.mat)
     keep = evals > _RANK_TOL
-    evals, vecs = evals[keep], vecs[:, keep]
-    r = evals.size
-    w = vecs * np.sqrt(evals)  # columns are subnormalized eigenvectors
+    w = vecs[:, keep] * np.sqrt(evals[keep])  # columns are subnormalized eigenvectors
+    r = w.shape[1]
     dimA, dimB = q.dimA, q.dimB
-
-    if r == 1:
-        psi = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        cand = DecompositionCandidate(
-            weights=np.array([1.0]), states=[PureState(dimA, dimB, psi)]
-        )
-        value = float(_column_concurrence(psi[:, None], dimA, dimB)[0])
-        return RoofResult(value=value, witness=cand)
-
     # Larger ensembles than m = r can be strictly better, so allow up to
     # min(r^2, 8).
     m = cfg.decomp_size if cfg.decomp_size is not None else max(r, min(r * r, 8))
     if m < r:
         raise OutOfRange(f"decomposition size {m} below rank {r}")
 
+    if r == 1:
+        cols = w
+    elif (dimA, dimB) == (2, 2):
+        cols = _wootters_decomposition(w)
+    else:
+        # The search never beats the true concurrence, which is at least
+        # the algebraic lower bound, so that bound is its floor.
+        x_best = _roof_search(w, dimA, dimB, m, cfg, generalized_lower_bound(q).bound)
+        cols = w @ _isometry(x_best, m, r)[0].T
+
+    value = float(_column_concurrence(cols, dimA, dimB).sum())
     if (dimA, dimB) == (2, 2):
-        cand = _candidate(_wootters_decomposition(w), dimA, dimB)
-        amps = np.stack([psi.amps for psi in cand.states], axis=1)
-        value = float(cand.weights @ _column_concurrence(amps, dimA, dimB))
         exact = float(_wootters_factor(w, 1.0))
         if abs(value - exact) > _EXACT_TOL:
             raise InvariantViolation(
                 f"Wootters decomposition average {value:.12g} differs from the exact "
                 f"concurrence {exact:.12g}")
-        return RoofResult(value=value, witness=cand)
-    n_par = 2 * m * r
+    return RoofResult(value=value, witness=_candidate(cols, dimA, dimB))
+
+
+def _roof_search(w: np.ndarray, dimA: int, dimB: int, m: int, cfg: OptimizerConfig,
+                 floor: float) -> np.ndarray:
+    """Parameters, in _isometry's layout, of the best m x r isometry Q mixing w's columns.
+
+    Every size-m ensemble is the columns of w Q^T for some Q.  L-BFGS
+    minimizes the ensemble average with its analytic gradient, through the
+    _SMOOTHING stages, from the identity (the eigendecomposition) and then
+    from seeded random starts; _ROOF_TOL is its ftol and gtol, cfg.max_iters
+    its maxiter per stage.  The identity and every stage's end point compete
+    on the exact average.  No start begins once the best is within 1e-6 of
+    floor, a lower bound on it.
+    """
+    r = w.shape[1]
 
     def objective(x: np.ndarray, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
         return _ensemble_average(x, w, m, r, dimA, dimB, smoothing)
 
-    # Identity isometry reproduces the eigendecomposition itself.
+    def average(x: np.ndarray) -> float:
+        return float(_column_concurrence(w @ _isometry(x, m, r)[0].T, dimA, dimB).sum())
+
     x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
-
-    # The optimizer can never beat the true concurrence, which in turn is at
-    # least the algebraic lower bound, so once the gap to that floor closes
-    # further restarts are pointless.
-    floor = generalized_lower_bound(q).bound
-    stop_slack = 1e-6
-
     rng = np.random.default_rng(cfg.seed)
-    best_x, best_val = x_eye, objective(x_eye)[0]
+    best_x, best_val = x_eye, average(x_eye)
     for k in range(cfg.restarts):
-        # Once the floor is reached further restarts cannot help.
-        if best_val <= floor + stop_slack:
+        if best_val <= floor + 1e-6:
             break
-        x = x_eye if k == 0 else rng.standard_normal(n_par)
+        x = x_eye if k == 0 else rng.standard_normal(2 * m * r)
         for smoothing in _SMOOTHING:
-            res = minimize(objective, x, args=(smoothing,), maxiter=cfg.max_iters,
-                           ftol=_ROOF_TOL, gtol=_ROOF_TOL)
-            x = res.x
+            x = minimize(objective, x, args=(smoothing,), maxiter=cfg.max_iters,
+                         ftol=_ROOF_TOL, gtol=_ROOF_TOL).x
             # A later stage can end above an earlier one, so every stage's
             # end point competes on its exact average.
-            value = res.fun if smoothing == 0.0 else objective(x)[0]
+            value = average(x)
             if value < best_val:
                 best_val, best_x = value, x
-
-    cand = _candidate(w @ _isometry(best_x, m, r)[0].T, dimA, dimB)
-    return RoofResult(value=float(best_val), witness=cand)
+    return best_x
 
 
 def _candidate(cols: np.ndarray, dimA: int, dimB: int) -> DecompositionCandidate:

@@ -5,6 +5,8 @@ cuts calls into timed segments by replacing a module attribute by name
 (_with_marks).  A renamed or removed target fails every benchmark pass, so
 these checks load both files as they are and look each name up, count the
 calls that the bound-nxn marks wrap, and run each of the three workloads briefly.
+The --trace 1 hooks are checked without a traced run: the import probe of
+xbench/run.py and a Tracer install/uninstall round trip.
 """
 import ast
 import importlib
@@ -87,3 +89,36 @@ def test_benchmark_smoke_run(workload):
     for m in spec["end_to_end"]:
         value = result["metrics"][m["name"]]
         assert value["unit"] == m["unit"] and math.isfinite(value["value"]) and value["value"] > 0
+
+
+def test_import_probe_reports_both_modules(monkeypatch):
+    # --trace 1 reads the cumulative import times of xbound.cli and
+    # scipy.optimize; a package that stops importing either fails here.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets these on import; undone after the test
+    times = load("run", monkeypatch).import_times_ms()
+    assert set(times) == {"import.xbound_cli_ms", "import.scipy_optimize_ms"}
+    assert all(math.isfinite(t) and t > 0 for t in times.values())
+
+
+def test_tracer_round_trip_restores_every_attribute(monkeypatch):
+    # --trace 1 replaces traced functions in every xbound module for a pass
+    # and must put the originals back, by identity.
+    import xbound.cli  # noqa: F401  (every traced module loaded)
+
+    tracing = load("tracing", monkeypatch)
+    tracer = tracing.Tracer()
+    modules = {n: m for n, m in sys.modules.items()
+               if m is not None and (n == "xbound" or n.startswith("xbound."))}
+    before = {n: dict(vars(m)) for n, m in modules.items()}
+    tracer.install()
+    try:
+        replaced = {(n, a) for n, m in modules.items()
+                    for a, v in vars(m).items() if v is not before[n].get(a)}
+    finally:
+        tracer.uninstall()
+    assert {(f"xbound.{mod}", func) for mod, func, _ in tracing.TARGETS} <= replaced
+    for n, m in modules.items():
+        after = vars(m)
+        assert after.keys() == before[n].keys()
+        assert all(after[a] is v for a, v in before[n].items()), n

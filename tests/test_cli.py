@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -172,15 +173,34 @@ class TestBound:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol(self, tmp_path, capsys, tol):
         # With a NaN or infinite tolerance this trace-12 matrix used to pass
-        # validation.
+        # validation; certify and fuzz, which read no state, used to exit 0.
         path = tmp_path / "threes.json"
         path.write_text(json.dumps({
             "dimA": 2, "dimB": 2, "re": [[3.0] * 4] * 4, "im": [[0.0] * 4] * 4,
         }))
-        code = main(["--tol", tol, "bound", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: OutOfRange:")
+        out = tmp_path / "out.json"
+        for argv in (["bound", str(path)],
+                     ["certify", "--q14", "0.5", "--d22", "0.1", "--d33", "0.1"],
+                     ["isotropic-sweep", "--d", "3", "--steps", "3", "--out", str(out)],
+                     ["fuzz", "--trials", "2"],
+                     ["optimize-basis", str(path), "--out", str(out)]):
+            code = main(["--tol", tol, *argv])
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.err.startswith("error: OutOfRange: tolerance herm must be finite")
+            assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["threes.json"]
+
+    def test_manifest_records_applied_tolerances(self, bell_file, tmp_path):
+        # optimize-basis validates its input at --tol; the sweep builds its
+        # states at the defaults, so --tol does not reach its manifest.
+        assert main(["--tol", "1e-3", "optimize-basis", bell_file,
+                     "--out", str(tmp_path / "u.json")]) == 0
+        assert main(["--tol", "0.5", "isotropic-sweep", "--d", "2", "--steps", "2",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        for name, tol in (("u.json", Tolerances.uniform(1e-3)), ("s.csv", DEFAULT_TOL)):
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["tolerances"] == dataclasses.asdict(tol)
 
     @pytest.mark.parametrize("payload", [
         {"dimA": 2, "dimB": 2, "re": [["x", 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4},
