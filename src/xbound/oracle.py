@@ -7,11 +7,12 @@ optimal decomposition on two qubits, where the bound is exact, otherwise the
 best mixing that _roof_search finds by L-BFGS), then takes one value and one
 witness from them.  fuzz_inequality hammers the lower bound against that
 reference (or the exact two-qubit value).  optimize_basis searches local
-unitaries for the basis that maximizes the X bound, by L-BFGS on the
-analytic gradient of each X witness's margin.  Both searches take their
-isometries as the QR factor of an unconstrained complex matrix (_isometry),
-back-propagate through it with _isometry_grad, and run through minimize,
-which drives scipy's L-BFGS-B core directly.
+unitaries for the basis that maximizes the X bound, on the analytic
+gradient of one X witness's margin: any pair's margin is pair (0, 1, 0, 1)'s
+after a local permutation of levels, itself a local unitary.  Both searches
+run _multistart, one L-BFGS run per start and stage through minimize (which
+drives scipy's L-BFGS-B core directly), and take their isometries as the QR
+factor of an unconstrained complex matrix (_isometry, _isometry_grad).
 """
 from __future__ import annotations
 
@@ -147,6 +148,8 @@ class DecompositionCandidate:
 
 @dataclass(frozen=True, eq=False)
 class RoofResult:
+    """value is the average concurrence of witness, a pure decomposition of the state."""
+
     value: float
     witness: DecompositionCandidate
 
@@ -266,12 +269,9 @@ def _roof_search(w: np.ndarray, dimA: int, dimB: int, m: int, cfg: OptimizerConf
                  floor: float) -> np.ndarray:
     """Parameters, in _isometry's layout, of the best m x r isometry Q mixing w's columns.
 
-    Every size-m ensemble is the columns of w Q^T for some Q.  L-BFGS
-    minimizes the ensemble average with its analytic gradient, through the
-    _SMOOTHING stages, from the identity (the eigendecomposition) and then
-    from seeded random starts; _ROOF_TOL is its ftol and gtol, cfg.max_iters
-    its maxiter per stage.  The identity and every stage's end point compete
-    on the exact average.  No start begins once the best is within 1e-6 of
+    Every size-m ensemble is the columns of w Q^T for some Q.  _multistart
+    minimizes the ensemble average through the _SMOOTHING stages, scoring
+    each end point on the exact average, until the best is within 1e-6 of
     floor, a lower bound on it.
     """
     r = w.shape[1]
@@ -283,21 +283,33 @@ def _roof_search(w: np.ndarray, dimA: int, dimB: int, m: int, cfg: OptimizerConf
         return float(_column_concurrence(w @ _isometry(x, m, r)[0].T, dimA, dimB).sum())
 
     x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
+    return _multistart(objective, [(s,) for s in _SMOOTHING], average, x_eye, average(x_eye),
+                       floor + 1e-6, cfg, _ROOF_TOL)[0]
+
+
+def _multistart(objective, stages: list[tuple], score, x_eye: np.ndarray, best: float,
+                target: float, cfg: OptimizerConfig, tol: float) -> tuple[np.ndarray, float]:
+    """Best point and score of an L-BFGS search from cfg.restarts starts.
+
+    Start 0 is x_eye, whose score is best; start k > 0 is drawn from
+    default_rng(cfg.seed) when its turn comes.  Each start runs one minimize
+    per entry of stages, passed as args (cfg.max_iters its maxiter, tol its
+    ftol and gtol), and every stage's end point competes on score, since a
+    later stage can end above an earlier one.  No start begins once
+    best <= target.
+    """
     rng = np.random.default_rng(cfg.seed)
-    best_x, best_val = x_eye, average(x_eye)
+    best_x = x_eye
     for k in range(cfg.restarts):
-        if best_val <= floor + 1e-6:
+        if best <= target:
             break
-        x = x_eye if k == 0 else rng.standard_normal(2 * m * r)
-        for smoothing in _SMOOTHING:
-            x = minimize(objective, x, args=(smoothing,), maxiter=cfg.max_iters,
-                         ftol=_ROOF_TOL, gtol=_ROOF_TOL).x
-            # A later stage can end above an earlier one, so every stage's
-            # end point competes on its exact average.
-            value = average(x)
-            if value < best_val:
-                best_val, best_x = value, x
-    return best_x
+        x = x_eye if k == 0 else rng.standard_normal(x_eye.size)
+        for args in stages:
+            x = minimize(objective, x, args=args, maxiter=cfg.max_iters, ftol=tol, gtol=tol).x
+            value = score(x)
+            if value < best:
+                best, best_x = value, x
+    return best_x, best
 
 
 def _candidate(cols: np.ndarray, dimA: int, dimB: int) -> DecompositionCandidate:
@@ -409,6 +421,10 @@ def fuzz_inequality(
 
 @dataclass(frozen=True, eq=False)
 class BasisResult:
+    """best_bound is the X bound of U rho U^dag, U = uA (x) uB the best basis found;
+    original_bound is rho's own X bound, and exact its Wootters concurrence.
+    """
+
     best_bound: float
     uA: np.ndarray
     uB: np.ndarray
@@ -416,9 +432,9 @@ class BasisResult:
     exact: float
 
 
-def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
-                  pair: tuple[int, int, int, int]) -> tuple[float, np.ndarray]:
-    """Negated margin of pair (i, j, k, l) (see _pair_terms) in a local basis, and its gradient.
+def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int,
+                  dimB: int) -> tuple[float, np.ndarray]:
+    """Negated margin of pair (0, 1, 0, 1) (see _pair_terms) in a local basis, and its gradient.
 
     params holds a dimA x dimA and then a dimB x dimB complex matrix, each
     laid out as _isometry reads it (2 dimA^2 + 2 dimB^2 real numbers); uA and
@@ -426,20 +442,19 @@ def _basis_margin(params: np.ndarray, rho: np.ndarray, dimA: int, dimB: int,
     rho' = U rho U^dag with U = uA (x) uB.  Where |coh| or root is 0 that term
     contributes gradient 0, as _column_concurrence does where its value is 0.
     """
-    i, j, k, l = pair
     nA = 2 * dimA * dimA
     uA, triA = _isometry(params[:nA], dimA, dimA)
     uB, triB = _isometry(params[nA:], dimB, dimB)
     u = _local_product(uA, uB)
     r = u @ rho @ u.conj().T
-    coh, root = _pair_terms(r, dimA, dimB, i, j, k, l)
+    coh, root = _pair_terms(r, dimA, dimB, 0, 1, 0, 1)
     rt = r.reshape(dimA, dimB, dimA, dimB)
     g = np.zeros_like(r)  # gradient of the margin in the entries of rho'
     gt = g.reshape(dimA, dimB, dimA, dimB)
     if coh > 0.0:
-        gt[i, k, j, l] = 2.0 * rt[i, k, j, l] / coh
+        gt[0, 0, 1, 1] = 2.0 * rt[0, 0, 1, 1] / coh
     if root > 0.0:
-        gt[i, l, i, l], gt[j, k, j, k] = -rt[j, k, j, k].real / root, -rt[i, l, i, l].real / root
+        gt[0, 1, 0, 1], gt[1, 0, 1, 0] = -rt[1, 0, 1, 0].real / root, -rt[0, 1, 0, 1].real / root
     # Through rho' = U rho U^dag the gradient in U is (g + g^dag) U rho; its
     # factors for uA and uB contract it with the other unitary.
     gu = ((g + g.conj().T) @ u @ rho).reshape(dimA, dimB, dimA, dimB)
@@ -453,48 +468,31 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     """Search local unitaries uA, uB maximizing the X bound of the rotated state.
 
     uA and uB are the unitary QR factors of unconstrained complex matrices
-    (_isometry, the map of the roof search).  Each X witness's margin is
-    maximized on its own by L-BFGS with its analytic gradient
-    (_basis_margin), from the identity and then from seeded random Gaussian
-    matrices, each drawn in turn; the result is the best X bound.  The search
-    stops once the bound reaches the exact concurrence, which no basis
-    exceeds.  The identity start guarantees the result never falls below the
-    bound in the original basis.
+    (_isometry).  One witness suffices, as a local permutation of levels
+    maps any pair to (0, 1, 0, 1): _multistart maximizes its margin
+    (_basis_margin), scores each run's end on the X bound, and stops once
+    that reaches the exact concurrence, which no basis exceeds.  The identity
+    start keeps the result at or above the bound in the original basis.
     """
     exact = wootters_concurrence(q)
     dimA, dimB = q.dimA, q.dimB
     grid = _pair_grid(dimA, dimB)
-
-    def rotated_bound(uA: np.ndarray, uB: np.ndarray) -> float:
-        u = _local_product(uA, uB)
-        return float(_best_margin(u @ q.mat @ u.conj().T, dimA, dimB, grid).bound)
-
-    best_uA, best_uB = np.eye(dimA, dtype=complex), np.eye(dimB, dtype=complex)
-    orig = best_bound = rotated_bound(best_uA, best_uB)
-    rng = np.random.default_rng(cfg.seed)
     nA = 2 * dimA * dimA
-    pairs = np.stack(np.broadcast_arrays(*grid), axis=-1).reshape(-1, 4)
-    # Start 0 is the identity, in _isometry's layout.
-    x0 = np.concatenate([np.eye(dimA).ravel(), np.zeros(dimA * dimA),
-                         np.eye(dimB).ravel(), np.zeros(dimB * dimB)])
-    for run in range(cfg.restarts * len(pairs)):
-        if best_bound >= exact - _EXACT_TOL:
-            break
-        start, w = divmod(run, len(pairs))
-        if start > 0 and w == 0:
-            x0 = rng.standard_normal(x0.size)
-        res = minimize(_basis_margin, x0, args=(q.mat, dimA, dimB, pairs[w]),
-                       maxiter=cfg.max_iters, ftol=_BASIS_TOL, gtol=_BASIS_TOL)
-        uA, uB = _isometry(res.x[:nA], dimA, dimA)[0], _isometry(res.x[nA:], dimB, dimB)[0]
-        value = rotated_bound(uA, uB)
-        if value > best_bound:
-            best_bound, best_uA, best_uB = value, uA, uB
 
-    _check_below_exact(best_bound, exact, "optimized bound")
-    return BasisResult(
-        best_bound=best_bound,
-        uA=best_uA,
-        uB=best_uB,
-        original_bound=orig,
-        exact=exact,
-    )
+    def unitaries(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _isometry(x[:nA], dimA, dimA)[0], _isometry(x[nA:], dimB, dimB)[0]
+
+    def negated_bound(x: np.ndarray) -> float:
+        u = _local_product(*unitaries(x))
+        return -float(_best_margin(u @ q.mat @ u.conj().T, dimA, dimB, grid).bound)
+
+    original_bound = float(_best_margin(q.mat, dimA, dimB, grid).bound)
+    # Start 0 is the identity, in _isometry's layout.
+    x_eye = np.concatenate([np.eye(dimA).ravel(), np.zeros(dimA * dimA),
+                            np.eye(dimB).ravel(), np.zeros(dimB * dimB)])
+    best_x, best = _multistart(_basis_margin, [(q.mat, dimA, dimB)], negated_bound, x_eye,
+                               -original_bound, -(exact - _EXACT_TOL), cfg, _BASIS_TOL)
+    _check_below_exact(-best, exact, "optimized bound")
+    uA, uB = unitaries(best_x)
+    return BasisResult(best_bound=-best, uA=uA, uB=uB, original_bound=original_bound,
+                       exact=exact)

@@ -267,12 +267,12 @@ def x_lower_bound(q: DensityMatrix) -> BoundReport:
 def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport:
     """Entanglement certificate from three measured density-matrix elements.
 
-    Only |Q14| and the two diagonals Q22, Q33 are needed, each in [0, 1]
-    (else OutOfRange); the phase of Q14 is irrelevant.  c2 is then exactly
-    0, so a c1 above roundoff (see highdim._best_margin) certifies
-    entanglement; any other c1 is inconclusive.
+    Only |Q14| and the two diagonals Q22, Q33 are needed, each a number in
+    [0, 1] and not a bool (else OutOfRange); the phase of Q14 is irrelevant.
+    c2 is then exactly 0, so a c1 above roundoff (see highdim._best_margin)
+    certifies entanglement; any other c1 is inconclusive.
     """
     for name, v in (("|q14|", q14_abs), ("d22", d22), ("d33", d33)):
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
+        if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
+            raise OutOfRange(f"{name} must be a number in [0, 1], got {v!r}")
     return replace(x_concurrence(XCore(0.0, d22, d33, 0.0, q14_abs, 0.0)), c2=None)

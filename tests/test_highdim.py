@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ class TestPairBound:
     def test_isotropic_f1(self):
         q = isotropic_matrix(IsotropicState(d=3, F=1.0))
         assert pair_bound(q, PairIndex(0, 1, 0, 1)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_every_pair_is_the_first_after_a_level_permutation(self, dims):
+        # optimize_basis maximizes pair (0, 1, 0, 1) alone: any pair's margin
+        # is that one of the state with its levels permuted (i, j and k, l,
+        # or l, k when mirrored, to 0, 1), and a permutation is a local unitary.
+        dA, dB = dims
+        for seed, rank in ((3, 1), (4, 2), (5, dA * dB)):
+            q = sample_random_density(dA, dB, rank, seed)
+            for (i, j), (k, l) in product(combinations(range(dA), 2), combinations(range(dB), 2)):
+                for mirrored in (False, True):
+                    perm_a = [i, j] + [a for a in range(dA) if a not in (i, j)]
+                    perm_b = [l, k] if mirrored else [k, l]
+                    perm_b += [b for b in range(dB) if b not in (k, l)]
+                    idx = np.add.outer(np.multiply(perm_a, dB), perm_b).ravel()
+                    permuted = validate_density(q.mat[np.ix_(idx, idx)], dA, dB)
+                    assert (pair_bound(q, PairIndex(i, j, k, l), mirrored)
+                            == pair_bound(permuted, PairIndex(0, 1, 0, 1)))
 
     def test_out_of_range(self):
         q = maximally_mixed(2, 2)

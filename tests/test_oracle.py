@@ -33,7 +33,6 @@ from xbound import (
     x_lower_bound,
 )
 from xbound import linalg, oracle, two_qubit
-from xbound.highdim import _pair_grid
 from xbound.oracle import (
     _FUZZ_CHUNK,
     _basis_margin,
@@ -50,9 +49,6 @@ from xbound.reference_states import (
 )
 
 FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
-# The two pairs (i, j, k, l) of the 2x2 pair grid: the witnesses of c1 and c2.
-X_PAIRS = [tuple(int(n) for n in p)
-           for p in np.stack(np.broadcast_arrays(*_pair_grid(2, 2)), axis=-1).reshape(-1, 4)]
 # The identity start of the 2x2 basis search: uA's and then uB's matrix,
 # each as oracle._isometry reads it (real parts, then imaginary parts).
 BASIS_EYE = np.tile(np.concatenate([np.eye(2).ravel(), np.zeros(4)]), 2)
@@ -448,13 +444,12 @@ class TestMinimize:
         self.assert_matches_scipy(_ensemble_average, x0, (w, 4, 4, 2, 2, 1e-3),
                                   maxiter=150, ftol=1e-8, gtol=1e-8)
 
-    @pytest.mark.parametrize("pair", X_PAIRS)
-    def test_basis_margin_matches_scipy(self, pair):
+    def test_basis_margin_matches_scipy(self):
         rotated = conjugate_by_local_unitary(
             projector(bell_phi_plus()), sample_haar_unitary(2, 21), sample_haar_unitary(2, 22)
         )
         for x0 in (BASIS_EYE, np.random.default_rng(3).standard_normal(16)):
-            self.assert_matches_scipy(_basis_margin, x0, (rotated.mat, 2, 2, pair),
+            self.assert_matches_scipy(_basis_margin, x0, (rotated.mat, 2, 2),
                                       maxiter=2000, ftol=1e-12, gtol=1e-12)
 
     def test_stops_at_maxiter(self):
@@ -599,22 +594,24 @@ class TestOptimizeBasis:
             res = optimize_basis(q, OptimizerConfig(restarts=3, seed=0))
             assert res.original_bound == res.best_bound == 0.0
 
-    @pytest.mark.parametrize("witness", X_PAIRS)
-    def test_basis_margin_gradient(self, witness):
+    def test_basis_margin_gradient(self):
         for seed in range(4):
             q = sample_random_density(2, 2, seed + 1, 40 + seed)
             starts = [BASIS_EYE, np.random.default_rng(seed).standard_normal(16)]
             for x in starts:
-                grad = _basis_margin(x, q.mat, 2, 2, witness)[1]
-                numeric = central_difference(
-                    lambda y: _basis_margin(y, q.mat, 2, 2, witness)[0], x)
+                grad = _basis_margin(x, q.mat, 2, 2)[1]
+                numeric = central_difference(lambda y: _basis_margin(y, q.mat, 2, 2)[0], x)
                 assert np.abs(grad - numeric).max() <= 1e-7
 
     def test_basis_margin_at_identity_is_the_x_margin(self):
         q = sample_random_density(2, 2, 3, 5)
         rep = x_concurrence(x_decompose(q)[0])
-        margins = [-_basis_margin(BASIS_EYE, q.mat, 2, 2, p)[0] for p in X_PAIRS]
-        assert margins == [rep.c1, rep.c2]
+        assert -_basis_margin(BASIS_EYE, q.mat, 2, 2)[0] == rep.c1
+        # uB = sigma_x, its own QR factor, swaps B's levels: c1's witness
+        # then reads c2's entries.
+        flip_b = BASIS_EYE.copy()
+        flip_b[8:12] = [0.0, 1.0, 1.0, 0.0]
+        assert -_basis_margin(flip_b, q.mat, 2, 2)[0] == rep.c2
 
     @pytest.mark.parametrize("unreachable,restarts,draws", [(False, 10**6, 0), (True, 3, 2)],
                              ids=["stops-at-identity", "runs-every-start"])
@@ -622,7 +619,9 @@ class TestOptimizeBasis:
         # Each random start is drawn when its turn comes: a Bell state stops
         # at the identity start and draws none, however many are allowed.
         # With an exact value no basis reaches, every start runs and start
-        # 0, the identity, is the only one not drawn.
+        # 0, the identity, is the only one not drawn.  Each start is one
+        # L-BFGS run, and every margin evaluation is one the solver asked
+        # for.
         if unreachable:
             monkeypatch.setattr(oracle, "wootters_concurrence", lambda q: 2.0)
         q = sample_random_density(2, 2, 3, 9) if unreachable else projector(bell_phi_plus())
@@ -639,9 +638,21 @@ class TestOptimizeBasis:
                 calls.append(size)
                 return self.rng.standard_normal(size)
 
+        nfev, evals = [], []
+        minimize, margin = oracle.minimize, oracle._basis_margin
+
+        def counted_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        monkeypatch.setattr(oracle, "minimize", counted_minimize)
+        monkeypatch.setattr(oracle, "_basis_margin",
+                            lambda *args: evals.append(args) or margin(*args))
         res = optimize_basis(q, cfg)
         assert len(calls) == draws
+        assert len(nfev) == (restarts if unreachable else 0)
+        assert len(evals) == sum(nfev)
         assert res.best_bound == expected.best_bound
         assert res.uA.tobytes() == expected.uA.tobytes()
         assert res.uB.tobytes() == expected.uB.tobytes()

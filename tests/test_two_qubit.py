@@ -329,6 +329,14 @@ class TestCertify:
         with pytest.raises(OutOfRange):
             certify_from_elements(0.1, 1.5, 0.2)
 
+    @pytest.mark.parametrize("element", [True, np.bool_(True), False])
+    def test_bool_element_rejected(self, element):
+        # A bool passes 0 <= v <= 1 and would read as 1.0, so (True, 0, 0)
+        # would certify with bound 2.0 from no measured number.
+        for args in ((element, 0.0, 0.0), (0.5, element, 0.0), (0.5, 0.0, element)):
+            with pytest.raises(OutOfRange, match="must be a number"):
+                certify_from_elements(*args)
+
     @pytest.mark.parametrize("q14", [1e308, math.inf, math.nan, 1.0 + 2**-52])
     def test_q14_above_one_rejected(self, q14):
         # No element of a state exceeds 1; a margin of 1e308 would overflow.
