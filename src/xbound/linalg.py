@@ -9,15 +9,18 @@ np.random.SeedSequence([seed, t]); _stream_states derives the PCG64 states of
 a whole run of such streams at once (numpy's SeedSequence hash vectorized in
 uint32, then PCG64's seeding), and _trial_densities samples those trials
 stacked, bit for bit as sample_random_density would one at a time, and
-returns their Ginibre factors too.
+returns their Ginibre factors too.  _qr is the package's one QR; with
+_isometry_grad it is the package's only caller of scipy.linalg.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     InvalidRank,
@@ -148,10 +151,7 @@ class PureState:
             )
         if not np.isfinite(amps).all():
             raise NonFinite("amplitudes contain non-finite entries")
-        # On amps scaled down by a power of two to parts below 2 (exact) no square
-        # overflows, which numpy would warn of; Python floats scale back up silently.
-        scale = 2.0 ** max(math.frexp(np.abs(amps.view(float)).max())[1] - 1, 0)
-        resid = abs(float(np.linalg.norm(amps / scale)) * scale - 1.0)
+        resid = abs(math.hypot(*amps.view(float).tolist()) - 1.0)
         if not resid <= tol.norm:  # a NaN norm is rejected too
             raise StateNormError(f"norm deviates from 1 by {resid:.3e}")
         amps.flags.writeable = False
@@ -353,14 +353,68 @@ def sample_haar_pure(dimA: int, dimB: int, seed) -> PureState:
 
 
 def sample_haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase-fixed R."""
+    """Haar-random unitary: Q of the sign-fixed QR (_qr) of a Ginibre matrix (Mezzadri 2007)."""
     _check_dims(dim, dim)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return _qr(z)[0]
+
+
+@functools.cache
+def _strict_lower(r: int) -> np.ndarray:
+    """Read-only mask of the strictly lower triangle of an r x r matrix."""
+    mask = np.tri(r, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R of an m x r complex z = QR (m >= r) with R's (real) diagonal made non-negative.
+
+    Householder QR (LAPACK's zgeqrf, whose R has a real diagonal) flips the
+    sign of a column of Q between z = I and any z perturbed below the
+    diagonal; fixing the sign makes Q smooth in z, and unique for a z of
+    full rank.
+    """
+    r = z.shape[1]
+    qr, tau, _, _ = lapack.zgeqrf(z)
+    iso, _, _ = lapack.zungqr(qr, tau)
+    sign = np.copysign(1.0, qr.diagonal().real)
+    tri = qr[:r] * sign[:, None]
+    tri[_strict_lower(r)] = 0.0
+    return iso * sign, tri
+
+
+def _isometry(params: np.ndarray, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """_qr of the m x r complex z that params holds: its real parts, then its imaginary parts."""
+    n = m * r
+    z = np.empty((m, r), dtype=complex)
+    z.real = params[:n].reshape(m, r)
+    z.imag = params[n:].reshape(m, r)
+    return _qr(z)
+
+
+def _isometry_grad(iso: np.ndarray, tri: np.ndarray, g_iso: np.ndarray) -> np.ndarray:
+    """Back-propagate a gradient g_iso of Q = _isometry(params, m, r)[0] to params.
+
+    iso and tri are the Q and R that _isometry returned.  Gradients are
+    d/dRe + i d/dIm, as in highdim._column_concurrence; a singular R raises
+    LinAlgError.
+    """
+    m, r = iso.shape
+    n = m * r
+    # With b = iso^dag g_iso, the gradient in z is (g_iso - iso h) R^-dag,
+    # h the Hermitian matrix with b's upper triangle and real diagonal.
+    h = iso.conj().T @ g_iso
+    np.copyto(h, h.conj().T, where=_strict_lower(r))
+    h.imag.flat[:: r + 1] = 0.0
+    g_zh, info = lapack.ztrtrs(tri, (g_iso - iso @ h).conj().T)
+    if info:
+        raise np.linalg.LinAlgError(f"singular R in the isometry (ztrtrs info {info})")
+    grad = np.empty(2 * n)
+    grad[:n].reshape(m, r)[...] = g_zh.real.T
+    np.negative(g_zh.imag.T, out=grad[n:].reshape(m, r))
+    return grad
 
 
 def _local_product(uA: np.ndarray, uB: np.ndarray) -> np.ndarray:

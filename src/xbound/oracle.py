@@ -12,18 +12,16 @@ gradient of one X witness's margin: any pair's margin is pair (0, 1, 0, 1)'s
 after a local permutation of levels, itself a local unitary.  Both searches
 run _multistart, one L-BFGS run per start and stage through minimize (which
 drives scipy's L-BFGS-B core directly), and take their isometries as the QR
-factor of an unconstrained complex matrix (_isometry, _isometry_grad).
+factor of an unconstrained complex matrix (linalg._isometry, _isometry_grad).
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.optimize._lbfgsb import setulb
 
 from .errors import InvalidRank, InvariantViolation, OutOfRange, WrongDimensions
@@ -32,7 +30,8 @@ from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _colum
 # sample_random_density is unused here, but the benchmark's fuzz-2q marks
 # replace it in this module by name, so it stays importable from it.
 from .linalg import (DensityMatrix, PureState, _check_int, _check_ranks,  # noqa: F401
-                     _local_product, _trial_densities, sample_random_density)
+                     _isometry, _isometry_grad, _local_product, _trial_densities,
+                     sample_random_density)
 from .two_qubit import _wootters_decomposition, _wootters_factor, wootters_concurrence
 
 _RANK_TOL = 1e-12
@@ -152,58 +151,6 @@ class RoofResult:
 
     value: float
     witness: DecompositionCandidate
-
-
-@functools.cache
-def _strict_lower(r: int) -> np.ndarray:
-    """Read-only mask of the strictly lower triangle of an r x r matrix."""
-    mask = np.tri(r, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
-def _isometry(params: np.ndarray, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Q and R of z = QR with R's (real) diagonal made non-negative; params holds z.
-
-    params holds the m x r complex matrix z: its real parts, then its
-    imaginary parts, row by row.  Householder QR (LAPACK's zgeqrf, whose R
-    has a real diagonal) flips the sign of a column of Q between z = I and
-    any z perturbed below the diagonal; fixing the sign makes Q smooth in z,
-    so the objective has no kink at the identity start.
-    """
-    n = m * r
-    z = np.empty((m, r), dtype=complex)
-    z.real = params[:n].reshape(m, r)
-    z.imag = params[n:].reshape(m, r)
-    qr, tau, _, _ = lapack.zgeqrf(z)
-    iso, _, _ = lapack.zungqr(qr, tau)
-    sign = np.copysign(1.0, qr.diagonal().real)
-    tri = qr[:r] * sign[:, None]
-    tri[_strict_lower(r)] = 0.0
-    return iso * sign, tri
-
-
-def _isometry_grad(iso: np.ndarray, tri: np.ndarray, g_iso: np.ndarray) -> np.ndarray:
-    """Back-propagate a gradient g_iso of Q = _isometry(params, m, r)[0] to params.
-
-    iso and tri are the Q and R that _isometry returned.  Gradients are
-    d/dRe + i d/dIm, as in highdim._column_concurrence; a singular R raises
-    LinAlgError.
-    """
-    m, r = iso.shape
-    n = m * r
-    # With b = iso^dag g_iso, the gradient in z is (g_iso - iso h) R^-dag,
-    # h the Hermitian matrix with b's upper triangle and real diagonal.
-    h = iso.conj().T @ g_iso
-    np.copyto(h, h.conj().T, where=_strict_lower(r))
-    h.imag.flat[:: r + 1] = 0.0
-    g_zh, info = lapack.ztrtrs(tri, (g_iso - iso @ h).conj().T)
-    if info:
-        raise np.linalg.LinAlgError(f"singular R in the isometry (ztrtrs info {info})")
-    grad = np.empty(2 * n)
-    grad[:n].reshape(m, r)[...] = g_zh.real.T
-    np.negative(g_zh.imag.T, out=grad[n:].reshape(m, r))
-    return grad
 
 
 def _ensemble_average(params: np.ndarray, w: np.ndarray, m: int, r: int,

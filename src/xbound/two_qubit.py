@@ -10,12 +10,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import OutOfRange, WrongDimensions
-from .highdim import (_EPS, _ROUNDOFF_ULPS, _best_margin, _check_below_exact, _column_concurrence,
-                      _pair_grid)
-from .linalg import DensityMatrix, PureState, clipped_sqrt
+from .highdim import (_EPS, _EXACT_TOL, _ROUNDOFF_ULPS, _best_margin, _check_below_exact,
+                      _column_concurrence, _pair_grid)
+from .linalg import DensityMatrix, PureState, _qr, clipped_sqrt
 
 # The signs that turn a reversed column (d, c, b, a) into -sy(x)sy (a, b, c, d).
 _MINOR_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
@@ -161,7 +160,7 @@ def wootters_concurrence(q: DensityMatrix) -> float:
     return float(_wootters(q.mat))
 
 
-# The real orthogonal 4 x 4 mixing of the separable case: every entry is +-1/2.
+# The real orthogonal 4 x 4 mixing of Wootters' decomposition: every entry is +-1/2.
 _HADAMARD = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
                             [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
@@ -173,21 +172,18 @@ def _takagi(tau: np.ndarray, tiny: float) -> tuple[np.ndarray, np.ndarray]:
     [Im tau, -Re tau]] with eigenvalue sigma gives u = a + ib, and its
     partner (-b; a) has eigenvalue -sigma.  The r largest eigenvalues, in
     decreasing order, are taken; those at most tiny are roundoff, set to 0,
-    and their columns come from the QR completion of the others, which
-    also makes u unitary to roundoff.
+    and their columns come from the QR completion (linalg._qr) of the
+    others by unit vectors, which also makes u unitary to roundoff.
     """
     r = tau.shape[0]
     big = np.empty((2 * r, 2 * r))
     big[:r, :r], big[:r, r:], big[r:, :r], big[r:, r:] = tau.real, tau.imag, tau.imag, -tau.real
-    evals, vecs, info = lapack.dsyev(big)
-    if info:
-        raise np.linalg.LinAlgError(f"no Takagi factorization (dsyev info {info})")
+    evals, vecs = np.linalg.eigh(big)
     sigma, top = evals[: r - 1 : -1], vecs[:, : r - 1 : -1]
     kept = np.count_nonzero(sigma > tiny)
     sigma[kept:] = 0.0
     basis = np.hstack([top[:r, :kept] + 1j * top[r:, :kept], np.eye(r)])
-    qr, householder, _, _ = lapack.zgeqrf(basis)
-    return sigma, lapack.zungqr(qr[:, :r], householder)[0]
+    return sigma, _qr(basis[:, :r])[0]
 
 
 def _triangle_angles(a: float, b: float, base: float) -> tuple[float, float]:
@@ -205,12 +201,15 @@ def _triangle_angles(a: float, b: float, base: float) -> tuple[float, float]:
 
 
 def _closure_phases(lam: np.ndarray) -> np.ndarray:
-    """Phases theta with sum_j lam_j e^{i theta_j} = 0, for decreasing lam with l1 <= l2 + l3 + l4.
+    """Phases theta with sum_j lam_j e^{i theta_j} = max(0, l1 - l2 - l3 - l4), for decreasing lam.
 
-    Two triangles on the base L = max(l1 - l2, l3 - l4): l1 e^{i t1} +
-    l2 e^{i t2} = L and l3 e^{i t3} + l4 e^{i t4} = -L.
+    Entangled (l1 > l2 + l3 + l4): theta = (0, pi, pi, pi).  Otherwise the
+    sum closes to 0 on two triangles with the base L = max(l1 - l2, l3 - l4):
+    l1 e^{i t1} + l2 e^{i t2} = L and l3 e^{i t3} + l4 e^{i t4} = -L.
     """
     l1, l2, l3, l4 = lam.tolist()
+    if l1 > l2 + l3 + l4:
+        return np.array([0.0, math.pi, math.pi, math.pi])
     base = max(l1 - l2, l3 - l4)
     if base == 0.0:  # l1 = l2 and l3 = l4: two opposite pairs
         return np.array([0.0, math.pi, 0.0, math.pi])
@@ -220,40 +219,25 @@ def _closure_phases(lam: np.ndarray) -> np.ndarray:
 
 
 def _wootters_decomposition(w: np.ndarray) -> np.ndarray:
-    """The columns of an optimal pure decomposition of rho = w w^dag, for a 4 x r factor w.
+    """The 4 columns of an optimal decomposition of rho = w w^dag, for a 4 x r factor w, r >= 2.
 
     Wootters' construction (PRL 80, 2245 (1998)).  The Takagi vectors u of
     tau = _spin_flip(w) give columns w conj(u) whose preconcurrences are
-    the Wootters l_i and whose cross terms vanish.  Entangled (l1 > l2 +
-    l3 + l4): columns 2..r are multiplied by i, so their preconcurrences
-    are -l_k, and one real Givens rotation against column 1 per column k
-    zeroes column k's and leaves l1 - l2 - ... - l_k in column 1; r columns
-    result.  Otherwise the columns get phases e^{i theta / 2} with
-    sum l_j e^{i theta_j} = 0 (_closure_phases), are padded to 4 and mixed
-    by _HADAMARD, which gives every column preconcurrence sum l_j
-    e^{i theta_j} / 4 = 0; 4 product columns result.  Every mixing is
-    unitary, so the columns reproduce rho; their concurrences sum to
-    max(0, l1 - l2 - l3 - l4).
+    the Wootters l_i and whose cross terms vanish.  The columns get phases
+    e^{i theta / 2} with sum l_j e^{i theta_j} = C = max(0, l1 - l2 - l3 -
+    l4) (_closure_phases), are padded to 4 and mixed by _HADAMARD, which
+    gives every column preconcurrence sum l_j e^{i theta_j} / 4 = C / 4:
+    each of the 4 columns carries weight x concurrence C / 4, so a
+    separable state gets 4 product columns.  The mixing is unitary, so the
+    columns reproduce rho; their concurrences sum to C.
     """
     r = w.shape[1]
     scale = float((w.real**2 + w.imag**2).sum())  # Tr rho, which bounds every l_i
     sigma, u = _takagi(_spin_flip(w), _ROUNDOFF_ULPS * _EPS * scale)
     lam = np.zeros(4)
     lam[:r] = sigma
-    mix = u.conj()
-    if lam[0] > lam[1:].sum():
-        mix[:, 1:] *= 1j
-        g = lam[0]  # column 1's preconcurrence
-        for k in range(1, r):
-            c, s = math.sqrt(g / (g + lam[k])), math.sqrt(lam[k] / (g + lam[k]))
-            first, other = mix[:, 0].copy(), mix[:, k]
-            mix[:, 0] = c * first - s * other
-            mix[:, k] = s * first + c * other
-            g -= lam[k]
-    else:
-        phased = mix * np.exp(0.5j * _closure_phases(lam)[:r])
-        mix = np.hstack([phased, np.zeros((r, 4 - r))]) @ _HADAMARD
-    return w @ mix
+    phased = u.conj() * np.exp(0.5j * _closure_phases(lam)[:r])
+    return w @ (np.hstack([phased, np.zeros((r, 4 - r))]) @ _HADAMARD)
 
 
 def x_lower_bound(q: DensityMatrix) -> BoundReport:
@@ -270,9 +254,14 @@ def certify_from_elements(q14_abs: float, d22: float, d33: float) -> BoundReport
     Only |Q14| and the two diagonals Q22, Q33 are needed, each a number in
     [0, 1] and not a bool (else OutOfRange); the phase of Q14 is irrelevant.
     c2 is then exactly 0, so a c1 above roundoff (see highdim._best_margin)
-    certifies entanglement; any other c1 is inconclusive.
+    certifies entanglement; any other c1 is inconclusive.  Elements that no
+    state has, 2|Q14| + Q22 + Q33 > 1 beyond _EXACT_TOL, raise OutOfRange
+    too, as every state has |Q14| <= sqrt(Q11 Q44) <= (Q11 + Q44) / 2.
     """
     for name, v in (("|q14|", q14_abs), ("d22", d22), ("d33", d33)):
         if isinstance(v, (bool, np.bool_)) or not 0.0 <= v <= 1.0:
             raise OutOfRange(f"{name} must be a number in [0, 1], got {v!r}")
+    total = 2.0 * q14_abs + d22 + d33
+    if total > 1.0 + _EXACT_TOL:
+        raise OutOfRange(f"no state has these elements: 2|q14| + d22 + d33 = {total!r} > 1")
     return replace(x_concurrence(XCore(0.0, d22, d33, 0.0, q14_abs, 0.0)), c2=None)

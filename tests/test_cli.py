@@ -389,11 +389,22 @@ class TestCertify:
         assert c1 == pytest.approx(0.0286, abs=1e-3)
 
     def test_product_elements_inconclusive(self, capsys):
-        # ab, a^2 and b^2 are a product state's elements; c1 evaluates to 1.1e-16.
-        code = main(["certify", "--q14", "0.43655692513322986",
-                     "--d22", "0.9004940982043912", "--d33", "0.2116415302019256"])
+        # ab, a^2 and b^2 are a real product state's elements (a + b <= 1);
+        # c1 evaluates to 5.6e-17.
+        code = main(["certify", "--q14", "0.16420283047872095",
+                     "--d22", "0.08611617344785373", "--d33", "0.31309530437450656"])
         assert code == 1
         assert capsys.readouterr().out.startswith("inconclusive")
+
+    @pytest.mark.parametrize("elements", [("1", "0", "0"), ("0.9", "0.1", "0.1")])
+    def test_no_such_state(self, capsys, elements):
+        # |Q14| <= sqrt(Q11 Q44) <= (1 - Q22 - Q33) / 2 holds for every state.
+        q14, d22, d33 = elements
+        code = main(["certify", "--q14", q14, "--d22", d22, "--d33", d33])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: OutOfRange: no state has these elements")
 
     def test_out_of_range(self, capsys):
         code = main(["certify", "--q14", "-1", "--d22", "0", "--d33", "0"])

@@ -33,11 +33,11 @@ from xbound import (
     x_lower_bound,
 )
 from xbound import linalg, oracle, two_qubit
+from xbound.linalg import _isometry
 from xbound.oracle import (
     _FUZZ_CHUNK,
     _basis_margin,
     _ensemble_average,
-    _isometry,
 )
 from xbound.reference_states import (
     IsotropicState,
@@ -50,7 +50,7 @@ from xbound.reference_states import (
 
 FAST_CFG = OptimizerConfig(restarts=4, max_iters=1500, seed=0)
 # The identity start of the 2x2 basis search: uA's and then uB's matrix,
-# each as oracle._isometry reads it (real parts, then imaginary parts).
+# each as linalg._isometry reads it (real parts, then imaginary parts).
 BASIS_EYE = np.tile(np.concatenate([np.eye(2).ravel(), np.zeros(4)]), 2)
 ROOF_GRADIENT_CASES = [((2, 2), 3, 4), ((2, 3), 2, 4), ((3, 3), 3, 8), ((3, 2), 2, 4),
                        ((2, 4), 4, 8)]
@@ -181,7 +181,7 @@ class TestConvexRoof:
             res = convex_roof_upper(q, FAST_CFG)
             assert res.value >= generalized_lower_bound(q).bound - 1e-9
 
-    @pytest.mark.parametrize("m,r", [(4, 2), (4, 4), (8, 3), (32, 16)])
+    @pytest.mark.parametrize("m,r", [(4, 2), (4, 4), (8, 3), (32, 16), (2, 2), (3, 3)])
     @pytest.mark.parametrize("start", ["random", "identity", "near-identity"])
     def test_isometry(self, m, r, start):
         rng = np.random.default_rng(m * r)
@@ -189,6 +189,9 @@ class TestConvexRoof:
         z = {"random": noise, "identity": np.eye(m, r),
              "near-identity": np.eye(m, r) + 1e-9 * noise}[start]
         iso, tri = _isometry(np.concatenate([z.real.ravel(), z.imag.ravel()]), m, r)
+        if m == r and start == "random":
+            # The Haar sampler is _qr of its Ginibre draw, the same draw as noise's.
+            assert np.array_equal(sample_haar_unitary(m, m * r), iso)
         assert np.abs(iso.conj().T @ iso - np.eye(r)).max() <= 1e-12
         assert np.abs(iso @ tri - z).max() <= 1e-12
         assert np.all(np.tril(tri, -1) == 0.0)
@@ -356,7 +359,7 @@ NAMED_2Q = {
 
 
 def closed_form_errors(q, separable):
-    """The five errors the two-qubit closed form is held to, each at most 1e-12."""
+    """The six errors the two-qubit closed form is held to, each at most 1e-12."""
     res = convex_roof_upper(q)
     w = res.witness
     assert len(w.states) <= 4
@@ -367,6 +370,7 @@ def closed_form_errors(q, separable):
         "reconstruction": w.reconstruction_residual(q),
         "weights": max(abs(w.weights.sum() - 1.0), -w.weights.min()),
         "average": abs(w.weights @ conc - res.value),
+        "max |p_i c_i - value/4|": np.abs(w.weights * conc - res.value / 4).max(),
         "separable": conc.max() if separable else 0.0,
     }
 

@@ -316,10 +316,12 @@ class TestCertify:
         assert rep.entangled
 
     def test_product_elements_inconclusive(self):
-        # |Q14| = ab, Q22 = a^2 and Q33 = b^2 are the elements of a product
-        # state: c1 is 0 but for roundoff, which must not certify.
+        # |Q14| = ab, Q22 = a^2 and Q33 = b^2 are the elements of the real
+        # product state (cos s, sin s) (x) (cos t, sin t), a = cos s sin t
+        # and b = sin s cos t: c1 is 0 but for roundoff, which must not certify.
         rng = np.random.default_rng(7)
-        for a, b in rng.uniform(0.0, 1.0, (1000, 2)):
+        for s, t in rng.uniform(0.0, np.pi / 2, (1000, 2)):
+            a, b = np.cos(s) * np.sin(t), np.sin(s) * np.cos(t)
             rep = certify_from_elements(a * b, a * a, b * b)
             assert rep.bound == 0.0 and not rep.entangled
 
@@ -328,6 +330,18 @@ class TestCertify:
             certify_from_elements(-0.1, 0.2, 0.2)
         with pytest.raises(OutOfRange):
             certify_from_elements(0.1, 1.5, 0.2)
+
+    @pytest.mark.parametrize("elements", [(1.0, 0.0, 0.0), (0.9, 0.1, 0.1), (0.0, 0.6, 0.6),
+                                          (0.25 + 1e-9, 0.25, 0.25)])
+    def test_no_such_state(self, elements):
+        # Every state has 2|Q14| <= Q11 + Q44 = 1 - Q22 - Q33.
+        with pytest.raises(OutOfRange, match="no state has these elements"):
+            certify_from_elements(*elements)
+
+    def test_boundary_elements_accepted(self):
+        # 2|Q14| + Q22 + Q33 = 1, exactly and within _EXACT_TOL.
+        for q14 in (0.25, 0.25 + 1e-11):
+            assert certify_from_elements(q14, 0.25, 0.25).c1 == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("element", [True, np.bool_(True), False])
     def test_bool_element_rejected(self, element):
