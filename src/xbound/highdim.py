@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndexOutOfRange, InvariantViolation
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState, _check_int
 
 # A best margin within this many float64 ulps of its own scale is roundoff,
 # not signal (on pure product states, whose margin is 0, it reaches about 3).
@@ -144,8 +144,11 @@ def pair_bound(q: DensityMatrix, p: PairIndex, mirrored: bool = False) -> float:
     """Signed margin 2(|Q_ik,jl| - sqrt(Q_il,il Q_jk,jk)) for one index pair.
 
     With mirrored=True the roles of k and l swap: the (il),(jk) coherence is
-    compared against the (ik),(jl) diagonals.
+    compared against the (ik),(jl) diagonals.  A non-integer index, a bool
+    too, or one out of range raises IndexOutOfRange.
     """
+    for name in "ijkl":
+        _check_int(name, getattr(p, name), IndexOutOfRange)
     if not (0 <= p.i < p.j < q.dimA and 0 <= p.k < p.l < q.dimB):
         raise IndexOutOfRange(
             f"pair {p} out of range for dims ({q.dimA},{q.dimB}); need i<j and k<l"

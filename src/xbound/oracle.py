@@ -115,15 +115,13 @@ class OptimizerConfig:
     restarts: int = 10
     max_iters: int = 2000
     seed: int = 0
-    decomp_size: Optional[int] = None  # defaults to max(rank, min(rank^2, 8))
 
     def __post_init__(self) -> None:
-        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0), ("decomp_size", 1)):
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is not None:
-                _check_int(name, value, OutOfRange)
-                if value < low:
-                    raise OutOfRange(f"{name} must be >= {low}, got {value}")
+            _check_int(name, value, OutOfRange)
+            if value < low:
+                raise OutOfRange(f"{name} must be >= {low}, got {value}")
 
 
 # The fuzz's reference only needs to dominate the true concurrence, which any
@@ -174,33 +172,25 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     The decomposition's subnormalized columns, sqrt(p) psi each, come from
     the scaled eigenvectors w: w itself at rank 1, Wootters' optimal
     decomposition of w on two qubits (two_qubit._wootters_decomposition, at
-    most 4 states, average exact), and otherwise w Q^T with the isometry Q
-    of _roof_search.  A cfg.decomp_size below the rank raises OutOfRange
-    first.  The value is the columns' summed concurrence, the witness's own
-    average since _column_concurrence is degree-2 homogeneous.  On two
-    qubits a value more than _EXACT_TOL from the Wootters kernel on w raises
-    InvariantViolation.  Only the search reads restarts, max_iters and seed.
+    most 4 states, average exact), and otherwise the best mixing w Q^T that
+    _roof_search finds, at a size it sets from the rank.  The value is the
+    columns' summed concurrence, the witness's own average since
+    _column_concurrence is degree-2 homogeneous.  On two qubits a value more
+    than _EXACT_TOL from the Wootters kernel on w raises InvariantViolation.
+    Only the search reads restarts, max_iters and seed.
     """
     evals, vecs = np.linalg.eigh(q.mat)
     keep = evals > _RANK_TOL
     w = vecs[:, keep] * np.sqrt(evals[keep])  # columns are subnormalized eigenvectors
-    r = w.shape[1]
     dimA, dimB = q.dimA, q.dimB
-    # Larger ensembles than m = r can be strictly better, so allow up to
-    # min(r^2, 8).
-    m = cfg.decomp_size if cfg.decomp_size is not None else max(r, min(r * r, 8))
-    if m < r:
-        raise OutOfRange(f"decomposition size {m} below rank {r}")
-
-    if r == 1:
+    if w.shape[1] == 1:
         cols = w
     elif (dimA, dimB) == (2, 2):
         cols = _wootters_decomposition(w)
     else:
         # The search never beats the true concurrence, which is at least
         # the algebraic lower bound, so that bound is its floor.
-        x_best = _roof_search(w, dimA, dimB, m, cfg, generalized_lower_bound(q).bound)
-        cols = w @ _isometry(x_best, m, r)[0].T
+        cols = _roof_search(w, dimA, dimB, cfg, generalized_lower_bound(q).bound)
 
     value = float(_column_concurrence(cols, dimA, dimB).sum())
     if (dimA, dimB) == (2, 2):
@@ -212,41 +202,47 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     return RoofResult(value=value, witness=_candidate(cols, dimA, dimB))
 
 
-def _roof_search(w: np.ndarray, dimA: int, dimB: int, m: int, cfg: OptimizerConfig,
+def _roof_search(w: np.ndarray, dimA: int, dimB: int, cfg: OptimizerConfig,
                  floor: float) -> np.ndarray:
-    """Parameters, in _isometry's layout, of the best m x r isometry Q mixing w's columns.
+    """Columns w Q^T of the best size-m ensemble found, Q an m x r isometry.
 
-    Every size-m ensemble is the columns of w Q^T for some Q.  _multistart
-    minimizes the ensemble average through the _SMOOTHING stages, scoring
-    each end point on the exact average, until the best is within 1e-6 of
-    floor, a lower bound on it.
+    Every size-m ensemble is w Q^T for some Q.  m = min(r^2, max(8, r + 4)):
+    an optimal one needs at most r^2 states (Carathéodory), and r + 4 takes
+    full-rank isotropic states within 3e-6 of exact, where m = r stayed
+    2-4e-2 above.  _multistart minimizes the average through the _SMOOTHING
+    stages, scoring each end point on the exact average, until the best is
+    within 1e-6 of floor, a lower bound on it.
     """
     r = w.shape[1]
+    m = min(r * r, max(8, r + 4))
+
+    def columns(x: np.ndarray) -> np.ndarray:
+        return w @ _isometry(x, m, r)[0].T
 
     def objective(x: np.ndarray, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
         return _ensemble_average(x, w, m, r, dimA, dimB, smoothing)
 
     def average(x: np.ndarray) -> float:
-        return float(_column_concurrence(w @ _isometry(x, m, r)[0].T, dimA, dimB).sum())
+        return float(_column_concurrence(columns(x), dimA, dimB).sum())
 
     x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
-    return _multistart(objective, [(s,) for s in _SMOOTHING], average, x_eye, average(x_eye),
-                       floor + 1e-6, cfg, _ROOF_TOL)[0]
+    return columns(_multistart(objective, [(s,) for s in _SMOOTHING], average, x_eye,
+                               floor + 1e-6, cfg, _ROOF_TOL)[0])
 
 
-def _multistart(objective, stages: list[tuple], score, x_eye: np.ndarray, best: float,
-                target: float, cfg: OptimizerConfig, tol: float) -> tuple[np.ndarray, float]:
+def _multistart(objective, stages: list[tuple], score, x_eye: np.ndarray, target: float,
+                cfg: OptimizerConfig, tol: float) -> tuple[np.ndarray, float]:
     """Best point and score of an L-BFGS search from cfg.restarts starts.
 
-    Start 0 is x_eye, whose score is best; start k > 0 is drawn from
+    Start 0 is x_eye, scored before any search; start k > 0 is drawn from
     default_rng(cfg.seed) when its turn comes.  Each start runs one minimize
     per entry of stages, passed as args (cfg.max_iters its maxiter, tol its
     ftol and gtol), and every stage's end point competes on score, since a
-    later stage can end above an earlier one.  No start begins once
-    best <= target.
+    later stage can end above an earlier one.  No start begins once the
+    best score is at or below target.
     """
     rng = np.random.default_rng(cfg.seed)
-    best_x = x_eye
+    best_x, best = x_eye, score(x_eye)
     for k in range(cfg.restarts):
         if best <= target:
             break
@@ -433,12 +429,12 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
         u = _local_product(*unitaries(x))
         return -float(_best_margin(u @ q.mat @ u.conj().T, dimA, dimB, grid).bound)
 
-    original_bound = float(_best_margin(q.mat, dimA, dimB, grid).bound)
     # Start 0 is the identity, in _isometry's layout.
     x_eye = np.concatenate([np.eye(dimA).ravel(), np.zeros(dimA * dimA),
                             np.eye(dimB).ravel(), np.zeros(dimB * dimB)])
+    original_bound = -negated_bound(x_eye)
     best_x, best = _multistart(_basis_margin, [(q.mat, dimA, dimB)], negated_bound, x_eye,
-                               -original_bound, -(exact - _EXACT_TOL), cfg, _BASIS_TOL)
+                               -(exact - _EXACT_TOL), cfg, _BASIS_TOL)
     _check_below_exact(-best, exact, "optimized bound")
     uA, uB = unitaries(best_x)
     return BasisResult(best_bound=-best, uA=uA, uB=uB, original_bound=original_bound,

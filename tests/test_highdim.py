@@ -141,6 +141,13 @@ class TestPairBound:
         with pytest.raises(IndexOutOfRange):
             pair_bound(q, PairIndex(1, 0, 0, 1))
 
+    @pytest.mark.parametrize("pair", [PairIndex(0.0, 1.0, 0, 1), PairIndex(0, 1, 0, 1.5),
+                                      PairIndex(False, True, 0, 1), PairIndex(0, 1, 0, True)],
+                             ids=["float", "fraction", "bool-ij", "bool-l"])
+    def test_non_integer_index(self, pair):
+        with pytest.raises(IndexOutOfRange, match="must be an integer"):
+            pair_bound(maximally_mixed(2, 3), pair)
+
 
 class TestPairKernel:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])

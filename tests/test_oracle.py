@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, minimize as scipy_minimize
 
 from xbound import (
@@ -124,7 +126,6 @@ def random_product_mixture(seed, terms=4):
 class TestOptimizerConfig:
     @pytest.mark.parametrize("field,value", [
         ("restarts", 0), ("restarts", -3), ("max_iters", 0), ("seed", -1),
-        ("decomp_size", 0), ("decomp_size", -2),
     ])
     def test_out_of_range(self, field, value):
         with pytest.raises(OutOfRange, match=f"{field} must be >= "):
@@ -134,7 +135,6 @@ class TestOptimizerConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("restarts", 2.5), ("restarts", 2.0), ("max_iters", True), ("seed", "1"),
-        ("decomp_size", 4.0),
     ])
     def test_non_integer(self, field, value):
         with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
@@ -144,6 +144,13 @@ class TestOptimizerConfig:
 
     def test_numpy_integers_accepted(self):
         OptimizerConfig(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(1))
+
+    def test_search_sizes_itself(self):
+        # The roof search takes its ensemble size from the rank; no field sets it.
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
+            "restarts", "max_iters", "seed"]
+        with pytest.raises(TypeError):
+            OptimizerConfig(decomp_size=8)
 
 
 class TestConvexRoof:
@@ -203,14 +210,18 @@ class TestConvexRoof:
         if start != "random":
             assert np.abs(iso - np.eye(m, r)).max() <= 1e-8
 
-    def test_decomposition_below_rank(self, monkeypatch):
-        # An input error, raised before any search.
-        def no_search(*args, **kwargs):
-            raise AssertionError("searched before decomp_size was checked")
-        monkeypatch.setattr(oracle, "minimize", no_search)
-        q = sample_random_density(2, 2, 3, 1)
-        with pytest.raises(OutOfRange, match="decomposition size 2 below rank 3"):
-            convex_roof_upper(q, OptimizerConfig(decomp_size=2))
+    def test_ensemble_size_follows_rank(self, monkeypatch):
+        # m = min(r^2, max(8, r + 4)) states, so the search runs on the 2 m r
+        # parameters of an m x r complex matrix.
+        sizes = {}
+
+        def record(fun, x0, args, **kwargs):
+            sizes.setdefault(rank, set()).add(x0.size)
+            return oracle.MinimizeResult(x0, 0.0, 0, 0)
+        monkeypatch.setattr(oracle, "minimize", record)
+        for rank in range(2, 10):
+            convex_roof_upper(sample_random_density(3, 3, rank, rank), OptimizerConfig(restarts=1))
+        assert sizes == {r: {2 * m * r} for r, m in zip(range(2, 10), (4, 8, 8, 9, 10, 11, 12, 13))}
 
     def test_keeps_best_stage(self, monkeypatch):
         # A final stage that ends above the 1e-6 stage must not replace its
@@ -295,12 +306,13 @@ class TestConvexRoof:
         numeric = central_difference(lambda y: _ensemble_average(y, w, m, rank, dA, dB)[0], x_eye)
         assert np.abs(grad - numeric).max() <= 1e-7
 
-    @pytest.mark.parametrize("d,F,m", [(3, 0.5, 20), (3, 0.9, 20), (4, 0.8, 32)])
-    def test_calibrated_on_isotropic_states(self, d, F, m):
+    @pytest.mark.parametrize("d,F", [(3, 0.5), (3, 0.9), (4, 0.8)])
+    def test_calibrated_on_isotropic_states(self, d, F):
+        # Full rank, so the search runs at its own size for r = d^2.
         s = IsotropicState(d=d, F=F)
         exact = isotropic_exact_concurrence(s)
-        res = convex_roof_upper(isotropic_matrix(s), OptimizerConfig(restarts=3, decomp_size=m))
-        assert exact - 1e-9 <= res.value <= exact + 5e-5
+        res = convex_roof_upper(isotropic_matrix(s), OptimizerConfig(restarts=3))
+        assert exact - 1e-9 <= res.value <= exact + 1e-5
 
     def test_calibrated_above_two_qubits(self):
         # A two-qubit state in the {0,1} x {0,1} block of d x d keeps every
@@ -668,6 +680,30 @@ class TestOptimizeBasis:
             q = sample_random_density(2, 2, 1, seed)
             res = optimize_basis(q, OptimizerConfig(restarts=3, seed=seed))
             assert res.best_bound == pytest.approx(res.exact, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the basis search stops up to 3e-8 short of Wootters on rank-2 states mixed with "
+        "a product state of weight below about 3e-7; a local polish from its end point closes "
+        "the gap, so the miss is the search's, not the X bound's"))
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(2, 4),
+           product_weight=st.none() | st.floats(0.0, 0.9))
+    @example(seed=2, rank=2, product_weight=1e-6)
+    def test_entangled_states_reach_wootters(self, seed, rank, product_weight):
+        # Measured, not proven: on entangled two-qubit states some local basis
+        # makes the X bound equal the Wootters concurrence, and optimize_basis
+        # is to find it.  A failing state is a result to report, not a case
+        # to exclude from the strategy.
+        q = sample_random_density(2, 2, rank, seed)
+        if product_weight is not None:
+            rng = np.random.default_rng(seed)
+            a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 2, 2)) @ [1, 1j])
+            ab = np.kron(a, b)
+            q = validate_density((1 - product_weight) * q.mat
+                                 + product_weight * np.outer(ab, ab.conj()), 2, 2)
+        assume(wootters_concurrence(q) > 0.0)
+        res = optimize_basis(q, OptimizerConfig(seed=seed))
+        assert res.exact - res.best_bound <= 1e-10
 
     def test_result_unitaries_reproduce_bound(self):
         q = sample_random_density(2, 2, 2, 17)
