@@ -211,7 +211,10 @@ def _roof_search(w: np.ndarray, dimA: int, dimB: int, cfg: OptimizerConfig,
     full-rank isotropic states within 3e-6 of exact, where m = r stayed
     2-4e-2 above.  _multistart minimizes the average through the _SMOOTHING
     stages, scoring each end point on the exact average, until the best is
-    within 1e-6 of floor, a lower bound on it.
+    within 1e-6 of floor, a lower bound on it.  Only the random starts reach
+    size m: the identity start's rows r..m-1 are 0, their columns are zero
+    and so is a zero column's gradient, so every L-BFGS step keeps them 0 and
+    that start searches size-r ensembles whatever m is.
     """
     r = w.shape[1]
     m = min(r * r, max(8, r + 4))
@@ -227,26 +230,26 @@ def _roof_search(w: np.ndarray, dimA: int, dimB: int, cfg: OptimizerConfig,
 
     x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
     return columns(_multistart(objective, [(s,) for s in _SMOOTHING], average, x_eye,
-                               floor + 1e-6, cfg, _ROOF_TOL)[0])
+                               average(x_eye), floor + 1e-6, cfg, _ROOF_TOL)[0])
 
 
-def _multistart(objective, stages: list[tuple], score, x_eye: np.ndarray, target: float,
-                cfg: OptimizerConfig, tol: float) -> tuple[np.ndarray, float]:
+def _multistart(objective, stages: list[tuple], score, x0: np.ndarray, best: float,
+                target: float, cfg: OptimizerConfig, tol: float) -> tuple[np.ndarray, float]:
     """Best point and score of an L-BFGS search from cfg.restarts starts.
 
-    Start 0 is x_eye, scored before any search; start k > 0 is drawn from
-    default_rng(cfg.seed) when its turn comes.  Each start runs one minimize
-    per entry of stages, passed as args (cfg.max_iters its maxiter, tol its
-    ftol and gtol), and every stage's end point competes on score, since a
-    later stage can end above an earlier one.  No start begins once the
-    best score is at or below target.
+    Start 0 is x0, whose score the caller has taken as best; start k > 0 is
+    drawn from default_rng(cfg.seed) when its turn comes.  Each start runs
+    one minimize per entry of stages, passed as args (cfg.max_iters its
+    maxiter, tol its ftol and gtol), and every stage's end point competes on
+    score, since a later stage can end above an earlier one.  No start
+    begins once the best score is at or below target.
     """
     rng = np.random.default_rng(cfg.seed)
-    best_x, best = x_eye, score(x_eye)
+    best_x = x0
     for k in range(cfg.restarts):
         if best <= target:
             break
-        x = x_eye if k == 0 else rng.standard_normal(x_eye.size)
+        x = x0 if k == 0 else rng.standard_normal(x0.size)
         for args in stages:
             x = minimize(objective, x, args=args, maxiter=cfg.max_iters, ftol=tol, gtol=tol).x
             value = score(x)
@@ -414,8 +417,15 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     (_isometry).  One witness suffices, as a local permutation of levels
     maps any pair to (0, 1, 0, 1): _multistart maximizes its margin
     (_basis_margin), scores each run's end on the X bound, and stops once
-    that reaches the exact concurrence, which no basis exceeds.  The identity
-    start keeps the result at or above the bound in the original basis.
+    that reaches the exact concurrence, which no basis exceeds.  Start 0,
+    scored once, keeps the result at or above the bound in the original
+    basis.  It is the identity, unless that bound is more than _EXACT_TOL
+    below exact and the Schmidt basis of the principal eigenvector scores
+    strictly higher.  There a pure state is an X state whose bound is its
+    concurrence, so pure states run no L-BFGS.  The guard keeps every
+    separable state, whose exact value is 0, at the identity: the Schmidt
+    basis of a pure product state can read a few ulps above 0, which would
+    certify entanglement.
     """
     exact = wootters_concurrence(q)
     dimA, dimB = q.dimA, q.dimB
@@ -429,11 +439,21 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
         u = _local_product(*unitaries(x))
         return -float(_best_margin(u @ q.mat @ u.conj().T, dimA, dimB, grid).bound)
 
-    # Start 0 is the identity, in _isometry's layout.
-    x_eye = np.concatenate([np.eye(dimA).ravel(), np.zeros(dimA * dimA),
-                            np.eye(dimB).ravel(), np.zeros(dimB * dimB)])
-    original_bound = -negated_bound(x_eye)
-    best_x, best = _multistart(_basis_margin, [(q.mat, dimA, dimB)], negated_bound, x_eye,
+    def layout(uA: np.ndarray, uB: np.ndarray) -> np.ndarray:
+        # _isometry's layout; _qr of a unitary is that unitary.
+        return np.concatenate([uA.real.ravel(), uA.imag.ravel(), uB.real.ravel(), uB.imag.ravel()])
+
+    x0 = layout(np.eye(dimA), np.eye(dimB))
+    best = negated_bound(x0)
+    original_bound = -best
+    if original_bound < exact - _EXACT_TOL:
+        # The principal eigenvector's Schmidt basis, from M = U S V^dag.
+        u, _, vh = np.linalg.svd(np.linalg.eigh(q.mat)[1][:, -1].reshape(dimA, dimB))
+        x_schmidt = layout(u.conj().T, vh.conj())
+        schmidt = negated_bound(x_schmidt)
+        if schmidt < best:
+            x0, best = x_schmidt, schmidt
+    best_x, best = _multistart(_basis_margin, [(q.mat, dimA, dimB)], negated_bound, x0, best,
                                -(exact - _EXACT_TOL), cfg, _BASIS_TOL)
     _check_below_exact(-best, exact, "optimized bound")
     uA, uB = unitaries(best_x)

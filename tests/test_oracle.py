@@ -223,6 +223,29 @@ class TestConvexRoof:
             convex_roof_upper(sample_random_density(3, 3, rank, rank), OptimizerConfig(restarts=1))
         assert sizes == {r: {2 * m * r} for r, m in zip(range(2, 10), (4, 8, 8, 9, 10, 11, 12, 13))}
 
+    @pytest.mark.parametrize("dims,rank,m", [((3, 3), 2, 4), ((3, 3), 3, 8), ((2, 3), 4, 8),
+                                             ((3, 3), 9, 13)])
+    def test_identity_start_keeps_its_zero_rows(self, monkeypatch, dims, rank, m):
+        # Rows r..m-1 of the identity start are 0, and so is their gradient:
+        # their columns are zero, and a zero column's concurrence has gradient
+        # 0.  Every L-BFGS step keeps them 0, so that start searches size-r
+        # ensembles whatever m is; only random starts reach size m.
+        ends = []
+        minimize = oracle.minimize
+
+        def record(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            ends.append(res.x.copy().reshape(2, m, rank))
+            return res
+        monkeypatch.setattr(oracle, "minimize", record)
+        q = (isotropic_matrix(IsotropicState(d=3, F=0.5)) if rank == 9
+             else sample_random_density(*dims, rank, rank))
+        convex_roof_upper(q, OptimizerConfig(restarts=1, max_iters=150))
+        assert len(ends) == len(oracle._SMOOTHING)
+        assert np.any(ends[0][0, :rank] != np.eye(rank))  # the search moved
+        for z in ends:
+            assert np.all(z[:, rank:] == 0.0)
+
     def test_keeps_best_stage(self, monkeypatch):
         # A final stage that ends above the 1e-6 stage must not replace its
         # point, neither in the value nor in the witness.
@@ -601,14 +624,23 @@ class TestOptimizeBasis:
         assert res.original_bound == 0.0
 
     def test_product_states_stay_zero(self):
-        # No local basis makes a product state entangled: a pure product's
-        # margins reach 0 at best, and roundoff above 0 must not count.
+        # No local basis makes a separable state entangled: a pure product's
+        # margins reach 0 at best, and roundoff above 0 must not count.  The
+        # Schmidt basis of a pure product does show such roundoff, so a state
+        # whose identity bound already reaches exact keeps the identity.
         rng = np.random.default_rng(5)
-        for _ in range(20):
+
+        def product_projector():
             a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 2, 2)) @ [1, 1j])
-            q = projector(pure_state(np.kron(a, b), 2, 2))
+            ab = np.kron(a, b)
+            return np.outer(ab, ab.conj())
+        for n in range(100):
+            # Pure products, then mixtures of two and of three.
+            weights = rng.dirichlet(np.ones(n % 3 + 1))
+            q = validate_density(sum(w * product_projector() for w in weights), 2, 2)
             res = optimize_basis(q, OptimizerConfig(restarts=3, seed=0))
             assert res.original_bound == res.best_bound == 0.0
+            assert np.array_equal(res.uA, np.eye(2)) and np.array_equal(res.uB, np.eye(2))
 
     def test_basis_margin_gradient(self):
         for seed in range(4):
@@ -635,9 +667,9 @@ class TestOptimizeBasis:
         # Each random start is drawn when its turn comes: a Bell state stops
         # at the identity start and draws none, however many are allowed.
         # With an exact value no basis reaches, every start runs and start
-        # 0, the identity, is the only one not drawn.  Each start is one
-        # L-BFGS run, and every margin evaluation is one the solver asked
-        # for.
+        # 0, the identity or the Schmidt start, is the only one not drawn.
+        # Each start is one L-BFGS run, and every margin evaluation is one
+        # the solver asked for.
         if unreachable:
             monkeypatch.setattr(oracle, "wootters_concurrence", lambda q: 2.0)
         q = sample_random_density(2, 2, 3, 9) if unreachable else projector(bell_phi_plus())
@@ -673,13 +705,20 @@ class TestOptimizeBasis:
         assert res.uA.tobytes() == expected.uA.tobytes()
         assert res.uB.tobytes() == expected.uB.tobytes()
 
-    def test_pure_states_reach_concurrence(self):
-        # A pure state's Schmidt form is an X state, so some local basis makes
-        # the X bound equal the concurrence.
-        for seed in range(20):
-            q = sample_random_density(2, 2, 1, seed)
+    def test_pure_states_reach_concurrence(self, monkeypatch):
+        # A pure state's Schmidt form is an X state whose X bound is its
+        # concurrence, 2 s0 s1, so the search starts there and runs no L-BFGS.
+        calls = []
+        monkeypatch.setattr(oracle, "minimize", lambda *args, **kwargs: calls.append(args))
+        bell = projector(bell_phi_plus())
+        states = [sample_random_density(2, 2, 1, seed) for seed in range(50)]
+        states += [conjugate_by_local_unitary(bell, sample_haar_unitary(2, 2 * seed),
+                                              sample_haar_unitary(2, 2 * seed + 1))
+                   for seed in range(20)]
+        for seed, q in enumerate(states):
             res = optimize_basis(q, OptimizerConfig(restarts=3, seed=seed))
-            assert res.best_bound == pytest.approx(res.exact, abs=1e-9)
+            assert abs(res.best_bound - res.exact) <= 1e-12
+        assert calls == []
 
     @pytest.mark.xfail(strict=True, reason=(
         "the basis search stops up to 3e-8 short of Wootters on rank-2 states mixed with "
