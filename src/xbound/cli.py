@@ -102,10 +102,7 @@ def cmd_fuzz(args) -> int:
 def cmd_optimize_basis(args) -> int:
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     res = optimize_basis(load_density(args.input, args.tol), cfg)
-    print(f"original_bound={res.original_bound:.9f}")
-    print(f"optimized_bound={res.best_bound:.9f}")
-    print(f"exact={res.exact:.9f}")
-    print(f"gap={res.exact - res.best_bound:.3e}")
+    # The files come first, so a failed write prints no result.
     save_unitaries(res.uA, res.uB, args.out)
     manifest = make_manifest(
         command=f"optimize-basis --restarts {args.restarts}",
@@ -114,6 +111,10 @@ def cmd_optimize_basis(args) -> int:
         tol=args.tol,
     )
     write_manifest(manifest, args.out)
+    print(f"original_bound={res.original_bound:.9f}")
+    print(f"optimized_bound={res.best_bound:.9f}")
+    print(f"exact={res.exact:.9f}")
+    print(f"gap={res.exact - res.best_bound:.3e}")
     print(f"wrote {args.out}")
     return 0
 

@@ -58,6 +58,7 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,6 +440,11 @@ def conjugate_by_local_unitary(
     return DensityMatrix(q.dimA, q.dimB, u @ q.mat @ u.conj().T, tol)
 
 
-def clipped_sqrt(x: np.ndarray) -> np.ndarray:
-    """Square root with small negatives (roundoff) clipped to zero first."""
-    return np.sqrt(np.clip(x, 0.0, None))
+def _eigen_factor(mat: np.ndarray) -> np.ndarray:
+    """The package's one factor w = V sqrt(L) of a state: eigenvalues <= _RANK_TOL are dropped.
+
+    The columns ascend by eigenvalue, so the last lies along the principal eigenvector.
+    """
+    evals, vecs = np.linalg.eigh(mat)
+    keep = evals > _RANK_TOL
+    return vecs[:, keep] * np.sqrt(evals[keep])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,11 +30,10 @@ from .highdim import (_EPS, _EXACT_TOL, _best_margin, _check_below_exact, _colum
 # sample_random_density is unused here, but the benchmark's fuzz-2q marks
 # replace it in this module by name, so it stays importable from it.
 from .linalg import (DensityMatrix, PureState, _check_int, _check_ranks,  # noqa: F401
-                     _isometry, _isometry_grad, _local_product, _trial_densities,
-                     sample_random_density)
-from .two_qubit import _wootters_decomposition, _wootters_factor, wootters_concurrence
+                     _eigen_factor, _isometry, _isometry_grad, _local_product,
+                     _trial_densities, sample_random_density)
+from .two_qubit import _require_2x2, _wootters_decomposition, _wootters_factor
 
-_RANK_TOL = 1e-12
 # Each start runs one L-BFGS stage per width: the smoothed stages carry the
 # search past the kinks where a column turns product (see
 # highdim._column_concurrence), and the last stage minimizes the average itself.
@@ -170,8 +169,8 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     """Upper-bound the concurrence by the average over a pure decomposition.
 
     The decomposition's subnormalized columns, sqrt(p) psi each, come from
-    the scaled eigenvectors w: w itself at rank 1, Wootters' optimal
-    decomposition of w on two qubits (two_qubit._wootters_decomposition, at
+    the eigen-factor w (linalg._eigen_factor): w itself at rank 1, Wootters'
+    optimal decomposition of w on two qubits (two_qubit._wootters_decomposition, at
     most 4 states, average exact), and otherwise the best mixing w Q^T that
     _roof_search finds, at a size it sets from the rank.  The value is the
     columns' summed concurrence, the witness's own average since
@@ -179,9 +178,7 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
     than _EXACT_TOL from the Wootters kernel on w raises InvariantViolation.
     Only the search reads restarts, max_iters and seed.
     """
-    evals, vecs = np.linalg.eigh(q.mat)
-    keep = evals > _RANK_TOL
-    w = vecs[:, keep] * np.sqrt(evals[keep])  # columns are subnormalized eigenvectors
+    w = _eigen_factor(q.mat)
     dimA, dimB = q.dimA, q.dimB
     if w.shape[1] == 1:
         cols = w
@@ -310,7 +307,8 @@ def fuzz_inequality(
     and bounded in one highdim._best_margin call.  On two qubits the
     reference is the Wootters value from each trial's Ginibre factor
     (two_qubit._wootters_factor, one call per rank), else one lean
-    convex_roof_upper (_FUZZ_ORACLE) per trial t, seeded t.
+    convex_roof_upper (_FUZZ_ORACLE) per trial: its one start is the
+    identity, which draws nothing, so no trial has a seed of its own.
     """
     dimA, dimB = dims
     _check_int("seed", seed, OutOfRange)
@@ -346,9 +344,8 @@ def fuzz_inequality(
             c1 = best.margins[:, 0, 0, 0]
             violations += int(np.count_nonzero((rank == 1) & (np.abs(c1) > reference + _EXACT_TOL)))
         else:
-            cfgs = (replace(_FUZZ_ORACLE, seed=n) for n in t.tolist())
-            reference = np.array([convex_roof_upper(DensityMatrix(dimA, dimB, mat), cfg).value
-                                  for mat, cfg in zip(m, cfgs)])
+            reference = np.array([convex_roof_upper(DensityMatrix(dimA, dimB, mat),
+                                                    _FUZZ_ORACLE).value for mat in m])
         violations += int(np.count_nonzero(best.bound > reference + _EXACT_TOL))
         slack = reference - best.bound
         min_slack = min(min_slack, float(slack.min()))
@@ -425,9 +422,12 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     concurrence, so pure states run no L-BFGS.  The guard keeps every
     separable state, whose exact value is 0, at the identity: the Schmidt
     basis of a pure product state can read a few ulps above 0, which would
-    certify entanglement.
+    certify entanglement.  exact and the Schmidt start are read from one
+    eigen-factor (linalg._eigen_factor), so q is diagonalized once.
     """
-    exact = wootters_concurrence(q)
+    _require_2x2(q)
+    w = _eigen_factor(q.mat)
+    exact = float(_wootters_factor(w, 1.0))
     dimA, dimB = q.dimA, q.dimB
     grid = _pair_grid(dimA, dimB)
     nA = 2 * dimA * dimA
@@ -448,7 +448,7 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
     original_bound = -best
     if original_bound < exact - _EXACT_TOL:
         # The principal eigenvector's Schmidt basis, from M = U S V^dag.
-        u, _, vh = np.linalg.svd(np.linalg.eigh(q.mat)[1][:, -1].reshape(dimA, dimB))
+        u, _, vh = np.linalg.svd(w[:, -1].reshape(dimA, dimB))
         x_schmidt = layout(u.conj().T, vh.conj())
         schmidt = negated_bound(x_schmidt)
         if schmidt < best:

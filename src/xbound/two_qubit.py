@@ -14,7 +14,7 @@ import numpy as np
 from .errors import OutOfRange, WrongDimensions
 from .highdim import (_EPS, _EXACT_TOL, _ROUNDOFF_ULPS, _best_margin, _check_below_exact,
                       _column_concurrence, _pair_grid)
-from .linalg import DensityMatrix, PureState, _qr, clipped_sqrt
+from .linalg import DensityMatrix, PureState, _eigen_factor, _qr
 
 # The signs that turn a reversed column (d, c, b, a) into -sy(x)sy (a, b, c, d).
 _MINOR_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
@@ -145,19 +145,10 @@ def _wootters_factor(a: np.ndarray, s) -> np.ndarray:
     return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)) / s
 
 
-def _wootters(mats: np.ndarray) -> np.ndarray:
-    """Exact concurrence of every two-qubit state in a (..., 4, 4) stack, by _wootters_factor.
-
-    The factor is V sqrt(L) from the eigendecomposition rho = V L V^dag.
-    """
-    evals, vecs = np.linalg.eigh(mats)
-    return _wootters_factor(vecs * clipped_sqrt(evals)[..., None, :], 1.0)
-
-
 def wootters_concurrence(q: DensityMatrix) -> float:
-    """Exact two-qubit concurrence of q (Wootters, PRL 80, 2245 (1998)); see _wootters."""
+    """Exact two-qubit concurrence of q (Wootters, PRL 80, 2245 (1998)), on _eigen_factor(q.mat)."""
     _require_2x2(q)
-    return float(_wootters(q.mat))
+    return float(_wootters_factor(_eigen_factor(q.mat), 1.0))
 
 
 # The real orthogonal 4 x 4 mixing of Wootters' decomposition: every entry is +-1/2.

@@ -116,7 +116,7 @@ class TestBound:
 
     def test_bound_above_exact_exits_3(self, bell_file, capsys, monkeypatch):
         # A 2x2 bound above its exact value is a bug, not a verdict.
-        monkeypatch.setattr("xbound.two_qubit._wootters", lambda mats: np.zeros(mats.shape[:-2]))
+        monkeypatch.setattr("xbound.cli.wootters_concurrence", lambda q: 0.0)
         code = main(["bound", bell_file])
         captured = capsys.readouterr()
         assert code == 3
@@ -618,6 +618,18 @@ class TestOptimizeBasis:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+        assert not out_json.exists()
+
+    def test_unwritable_out_prints_only_the_error(self, bell_file, tmp_path, capsys):
+        # The files are written before the result is printed, so a failed
+        # write leaves nothing on stdout.
+        out_json = tmp_path / "missing" / "u.json"
+        code = main(["optimize-basis", bell_file, "--out", str(out_json)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out_json.exists()
 
     def test_invariant_violation_exits_3(self, bell_file, tmp_path, capsys, monkeypatch):

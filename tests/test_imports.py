@@ -1,8 +1,10 @@
-"""Which package modules import which scipy subpackages.
+"""Which package modules import which scipy subpackages, and who diagonalizes.
 
 scipy.linalg (LAPACK) is called from xbound.linalg alone and scipy.optimize
 from xbound.oracle alone, so a port of either to numpy edits one module.
-The imports are read from each module's syntax tree, not by importing it.
+A state is factored by one rule, linalg._eigen_factor, the only function
+that diagonalizes one.  The imports and calls are read from each module's
+syntax tree, not by importing it.
 """
 import ast
 from pathlib import Path
@@ -31,3 +33,36 @@ def test_scipy_subpackage_has_one_importer(package, owner):
                  if any(name == package or name.startswith(package + ".")
                         for name in imported_modules(path))}
     assert importers == {owner}
+
+
+def eigh_users(path: Path) -> set[str]:
+    """Functions of a module that name eigh, as an attribute or an imported name."""
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "eigh"
+                    or isinstance(child, ast.Name) and child.id == "eigh"
+                    or isinstance(child, ast.alias) and child.name == "eigh"):
+                users.add(f"{path.stem}.{scope}")
+            visit(child, scope)
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return users
+
+
+def test_eigh_has_one_owner_per_rule():
+    # _takagi diagonalizes its real 2r x 2r Takagi matrix, not a state.
+    users = set().union(*(eigh_users(path) for path in SRC.glob("*.py")))
+    assert users == {"linalg._eigen_factor", "two_qubit._takagi"}
+
+
+def test_rank_tolerance_defined_once():
+    owners = [path.stem for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and target.id == "_RANK_TOL"]
+    assert owners == ["linalg"]

@@ -601,6 +601,13 @@ class TestFuzz:
         assert rep.violations == 0
         assert rep.min_slack >= -1e-10
 
+    def test_3x3_report_pinned(self):
+        # The roof search's one lean start is the identity and draws nothing,
+        # so no trial has a seed of its own and the report is fixed by seed.
+        rep = fuzz_inequality(60, (3, 3), 7)
+        assert (rep.violations, rep.max_gap, rep.min_slack) == (
+            0, 0.7686319995240591, 0.13289290532440873)
+
 
 class TestOptimizeBasis:
     def test_x_form_does_not_regress(self):
@@ -671,7 +678,7 @@ class TestOptimizeBasis:
         # Each start is one L-BFGS run, and every margin evaluation is one
         # the solver asked for.
         if unreachable:
-            monkeypatch.setattr(oracle, "wootters_concurrence", lambda q: 2.0)
+            monkeypatch.setattr(oracle, "_wootters_factor", lambda w, s: 2.0)
         q = sample_random_density(2, 2, 3, 9) if unreachable else projector(bell_phi_plus())
         cfg = OptimizerConfig(restarts=restarts, seed=4)
         expected = optimize_basis(q, cfg)
@@ -704,6 +711,23 @@ class TestOptimizeBasis:
         assert res.best_bound == expected.best_bound
         assert res.uA.tobytes() == expected.uA.tobytes()
         assert res.uB.tobytes() == expected.uB.tobytes()
+
+    @pytest.mark.parametrize("run", [wootters_concurrence, x_lower_bound, optimize_basis],
+                             ids=["wootters", "x_lower_bound", "optimize_basis"])
+    @pytest.mark.parametrize("state", ["mixed", "rotated-bell"])
+    def test_one_eigendecomposition_per_call(self, monkeypatch, run, state):
+        # The exact value and the Schmidt start are read from one eigen-factor.
+        if state == "mixed":
+            q = sample_random_density(2, 2, 2, 1)
+        else:
+            q = conjugate_by_local_unitary(projector(bell_phi_plus()),
+                                           sample_haar_unitary(2, 21), sample_haar_unitary(2, 22))
+        assert x_lower_bound(q).bound < wootters_concurrence(q) - 1e-10  # not X form
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a) or eigh(a, *args))
+        run(q)
+        assert len(calls) == 1 and calls[0] is q.mat
 
     def test_pure_states_reach_concurrence(self, monkeypatch):
         # A pure state's Schmidt form is an X state whose X bound is its

@@ -28,8 +28,8 @@ from xbound.reference_states import (
     werner_exact_concurrence,
     werner_state,
 )
-from xbound.linalg import _trial_densities, clipped_sqrt
-from xbound.two_qubit import _MINOR_SIGNS, _wootters, _wootters_factor
+from xbound.linalg import _eigen_factor, _trial_densities
+from xbound.two_qubit import _MINOR_SIGNS, _wootters_factor
 
 CHI_C = 0.5 - math.sqrt(2.0) / 3.0  # 2|alpha*delta - beta*gamma| for chi
 
@@ -143,13 +143,36 @@ class TestWootters:
             c = wootters_concurrence(sample_random_density(2, 2, seed % 4 + 1, seed))
             assert 0.0 <= c <= 1.0 + 1e-12
 
-    def test_stacked_kernel_matches_per_state(self):
-        states = [sample_random_density(2, 2, seed % 4 + 1, seed) for seed in range(200)]
-        states += [projector(bell_phi_plus()), werner_state(0.8), werner_state(0.2)]
-        stacked = _wootters(np.array([q.mat for q in states]))
-        per_state = np.array([wootters_concurrence(q) for q in states])
-        assert stacked.shape == (len(states),)
-        assert np.array_equal(stacked, per_state)
+    def test_matches_svd_of_the_clipped_eigen_factor(self):
+        # The factor rule before linalg._eigen_factor: every eigenvalue kept,
+        # negatives clipped to 0, and the SVD form at every rank.  A full-rank
+        # factor is the same matrix, so the value keeps its bits.  At ranks
+        # 1-3 the value moves by at most 1e-14, or else the old value is the
+        # one farther from the reference that takes no diagonalization (the
+        # kernel on the Ginibre factor, 1 for a Bell state): the clipped
+        # roundoff eigenvalues bias it low, by up to 1.1e-14 at rank 2 here.
+        def clipped_svd(m):
+            evals, vecs = np.linalg.eigh(m)
+            return float(svd_wootters_factor(vecs * np.sqrt(np.clip(evals, 0.0, None)), 1.0))
+        mats, factors = _trial_densities(2, 2, 30, 0, [1, 2, 3, 4] * 750)
+        reference = np.ones(mats.shape[0] + 300)
+        for idx, g, tr in factors:
+            reference[idx] = _wootters_factor(g, tr)
+        bell = projector(bell_phi_plus())
+        states = [validate_density(m, 2, 2) for m in mats]
+        states += [conjugate_by_local_unitary(bell, sample_haar_unitary(2, 2 * n),
+                                              sample_haar_unitary(2, 2 * n + 1))
+                   for n in range(300)]
+        full_rank = 0
+        for q, ref in zip(states, reference.tolist()):
+            c, old = wootters_concurrence(q), clipped_svd(q.mat)
+            if _eigen_factor(q.mat).shape[1] == 4:
+                full_rank += 1
+                assert c == old
+            else:
+                assert abs(c - ref) <= 1e-14
+                assert abs(c - old) <= 1e-14 or abs(old - ref) > abs(c - ref)
+        assert full_rank == 750
 
 
 def svd_wootters_factor(a, s):
@@ -166,7 +189,7 @@ class TestWoottersFactor:
     BELL = np.array([[0, 1, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1]]).T / math.sqrt(2.0)
 
     def test_factors_of_one_state_agree(self):
-        eigen = _wootters(self.MATS)
+        eigen = np.array([_wootters_factor(_eigen_factor(m), 1.0) for m in self.MATS])
         for idx, g, tr in self.FACTORS:
             r = g.shape[-1]
             u = np.array([sample_haar_unitary(r, int(i)) for i in idx])
@@ -222,11 +245,14 @@ class TestWoottersFactor:
         for idx, g, tr in self.FACTORS[2:]:
             assert g.shape[-1] in (3, 4)
             assert np.array_equal(_wootters_factor(g, tr), svd_wootters_factor(g, tr))
-        evals, vecs = np.linalg.eigh(self.MATS)
-        expected = svd_wootters_factor(vecs * clipped_sqrt(evals)[..., None, :], 1.0)
-        assert np.array_equal(_wootters(self.MATS), expected)
-        per_state = [wootters_concurrence(validate_density(m, 2, 2)) for m in self.MATS]
-        assert per_state == expected.tolist()
+        # wootters_concurrence is the kernel on the eigen-factor, bit for bit,
+        # and so the SVD wherever that factor has rank 3 or 4.
+        for m in self.MATS:
+            w = _eigen_factor(m)
+            c = wootters_concurrence(validate_density(m, 2, 2))
+            assert c == _wootters_factor(w, 1.0)
+            if w.shape[1] >= 3:
+                assert c == svd_wootters_factor(w, 1.0)
 
     def test_x_states(self):
         # A Cholesky factor of a positive definite X state.
