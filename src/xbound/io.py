@@ -15,7 +15,9 @@ entry must be a JSON number: a string, true, false or null is rejected.
 Files are decoded by orjson; whatever it rejects is handed to json.loads,
 which defines the format: it also reads the NaN/Infinity tokens that
 save_density writes for non-finite entries and overflowing literals such as
-1e400, which validation then rejects as NonFinite.
+1e400, which validation then rejects as NonFinite.  A file whose dimA or
+dimB orjson reads as a float is decoded again by json.loads, since orjson
+reads an integer beyond 64 bits as a float and json.loads as an int.
 """
 from __future__ import annotations
 
@@ -47,9 +49,14 @@ def _decode(data: bytes):
     chars = np.frombuffer(data, dtype=np.uint8) | 0x20
     if np.count_nonzero(np.equal(chars, 0x7B, out=chars.view(bool))) <= _ORJSON_MAX_BRACKETS:
         try:
-            return orjson.loads(data)
+            payload = orjson.loads(data)
         except orjson.JSONDecodeError:
             pass
+        else:
+            # orjson reads an integer beyond 64 bits as a float; json.loads keeps it an int.
+            if (not isinstance(payload, dict)
+                    or float not in (type(payload.get("dimA")), type(payload.get("dimB")))):
+                return payload
     return json.loads(data.decode("utf-8"))
 
 

@@ -201,52 +201,57 @@ def convex_roof_upper(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()
 
 def _roof_search(w: np.ndarray, dimA: int, dimB: int, cfg: OptimizerConfig,
                  floor: float) -> np.ndarray:
-    """Columns w Q^T of the best size-m ensemble found, Q an m x r isometry.
+    """Columns w Q^T of the best ensemble found, Q an m x r or r x r isometry.
 
     Every size-m ensemble is w Q^T for some Q.  m = min(r^2, max(8, r + 4)):
     an optimal one needs at most r^2 states (Carathéodory), and r + 4 takes
     full-rank isotropic states within 3e-6 of exact, where m = r stayed
     2-4e-2 above.  _multistart minimizes the average through the _SMOOTHING
     stages, scoring each end point on the exact average, until the best is
-    within 1e-6 of floor, a lower bound on it.  Only the random starts reach
-    size m: the identity start's rows r..m-1 are 0, their columns are zero
-    and so is a zero column's gradient, so every L-BFGS step keeps them 0 and
-    that start searches size-r ensembles whatever m is.
+    within 1e-6 of floor, a lower bound on it.  The random starts run at
+    size m and the identity start at size r: padded to m rows, its rows
+    r..m-1 would give zero columns, whose gradient is 0, so every L-BFGS
+    step would keep them 0 while paying for them.  A point of n rows has
+    length 2 n r, and its size is read from that.
     """
     r = w.shape[1]
     m = min(r * r, max(8, r + 4))
 
     def columns(x: np.ndarray) -> np.ndarray:
-        return w @ _isometry(x, m, r)[0].T
+        return w @ _isometry(x, x.size // (2 * r), r)[0].T
 
     def objective(x: np.ndarray, smoothing: float = 0.0) -> tuple[float, np.ndarray]:
-        return _ensemble_average(x, w, m, r, dimA, dimB, smoothing)
+        return _ensemble_average(x, w, x.size // (2 * r), r, dimA, dimB, smoothing)
 
     def average(x: np.ndarray) -> float:
         return float(_column_concurrence(columns(x), dimA, dimB).sum())
 
-    x_eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
+    x_eye = np.concatenate([np.eye(r).ravel(), np.zeros(r * r)])
     return columns(_multistart(objective, [(s,) for s in _SMOOTHING], average, x_eye,
-                               average(x_eye), floor + 1e-6, cfg, _ROOF_TOL)[0])
+                               average(x_eye), floor + 1e-6, cfg, _ROOF_TOL, 2 * m * r)[0])
 
 
 def _multistart(objective, stages: list[tuple], score, x0: np.ndarray, best: float,
-                target: float, cfg: OptimizerConfig, tol: float) -> tuple[np.ndarray, float]:
+                target: float, cfg: OptimizerConfig, tol: float,
+                size: int) -> tuple[np.ndarray, float]:
     """Best point and score of an L-BFGS search from cfg.restarts starts.
 
     Start 0 is x0, whose score the caller has taken as best; start k > 0 is
-    drawn from default_rng(cfg.seed) when its turn comes.  Each start runs
-    one minimize per entry of stages, passed as args (cfg.max_iters its
-    maxiter, tol its ftol and gtol), and every stage's end point competes on
-    score, since a later stage can end above an earlier one.  No start
-    begins once the best score is at or below target.
+    size standard normals drawn from default_rng(cfg.seed) when its turn
+    comes, and the generator is built for start 1, so a search that runs
+    only x0 builds none.  Each start runs one minimize per entry of stages,
+    passed as args (cfg.max_iters its maxiter, tol its ftol and gtol), and
+    every stage's end point competes on score, since a later stage can end
+    above an earlier one.  No start begins once the best score is at or
+    below target.
     """
-    rng = np.random.default_rng(cfg.seed)
     best_x = x0
     for k in range(cfg.restarts):
         if best <= target:
             break
-        x = x0 if k == 0 else rng.standard_normal(x0.size)
+        if k == 1:
+            rng = np.random.default_rng(cfg.seed)
+        x = x0 if k == 0 else rng.standard_normal(size)
         for args in stages:
             x = minimize(objective, x, args=args, maxiter=cfg.max_iters, ftol=tol, gtol=tol).x
             value = score(x)
@@ -454,7 +459,7 @@ def optimize_basis(q: DensityMatrix, cfg: OptimizerConfig = OptimizerConfig()) -
         if schmidt < best:
             x0, best = x_schmidt, schmidt
     best_x, best = _multistart(_basis_margin, [(q.mat, dimA, dimB)], negated_bound, x0, best,
-                               -(exact - _EXACT_TOL), cfg, _BASIS_TOL)
+                               -(exact - _EXACT_TOL), cfg, _BASIS_TOL, x0.size)
     _check_below_exact(-best, exact, "optimized bound")
     uA, uB = unitaries(best_x)
     return BasisResult(best_bound=-best, uA=uA, uB=uB, original_bound=original_bound,

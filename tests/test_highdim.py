@@ -21,8 +21,9 @@ from xbound import (
     validate_density,
     x_lower_bound,
 )
-from xbound.highdim import (_best_margin, _column_concurrence, _iconc_from_minors, _pair_grid,
-                             _pair_terms)
+from xbound.highdim import (_EPS, _ROUNDOFF_ULPS, _best_margin, _column_concurrence,
+                             _iconc_from_minors, _pair_grid, _pair_terms)
+from xbound.linalg import _trial_densities
 from xbound.reference_states import (
     IsotropicState,
     bell_phi_plus,
@@ -326,3 +327,105 @@ class TestGeneralizedLowerBound:
             assert abs(rep.value - best) <= 1e-15
             assert abs(ref[(p.i, p.j, p.k, p.l, rep.mirrored)] - best) <= 1e-12
             assert abs(rep.bound - max(best, 0.0)) <= 1e-15
+
+
+def _partial_transpose(mat, dA, dB):
+    """rho^{T_B} of a (..., D, D) stack: entry (ab, a'b') is rho's (ab', a'b)."""
+    return mat.reshape(*mat.shape[:-2], dA, dB, dA, dB).swapaxes(-3, -1).reshape(mat.shape)
+
+
+class TestPartialTranspose:
+    """Each pair margin is the negated 2x2 principal minor of G = rho^{T_B}.
+
+    For the grid's (i, j, k, l), G's rows (il) and (jk) have diagonals
+    rho_{il,il} and rho_{jk,jk} and coherence G_{il,jk} = rho_{ik,jl}, so the
+    margin 2(|rho_{ik,jl}| - sqrt(rho_{il,il} rho_{jk,jk})) is positive exactly
+    when that minor is negative.  So a positive bound makes G indefinite:
+    the state is NPT (Peres), and by Cauchy interlacing lambda_min(G) is at
+    most the smaller eigenvalue of the witness's 2x2 block.
+    """
+
+    DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]
+    dims = pytest.mark.parametrize("dims", DIMS, ids=[f"{a}x{b}" for a, b in DIMS])
+
+    @staticmethod
+    def stack(dA, dB):
+        # Ginibre states of every rank, and each one mixed half and half
+        # with the maximally mixed state, which moves many across PPT.
+        d = dA * dB
+        mats, _ = _trial_densities(dA, dB, 16, 0, np.arange(160) % d + 1)
+        return np.concatenate([mats, (mats + np.eye(d) / d) / 2])
+
+    @staticmethod
+    def minor_rows(dA, dB):
+        """Rows (il) and (jk) of G for every grid entry, in the grid's layout."""
+        i, j, k, l = _pair_grid(dA, dB)
+        return i * dB + l, j * dB + k
+
+    @dims
+    def test_margin_sign_is_minus_the_minor_sign(self, dims):
+        dA, dB = dims
+        mats = self.stack(dA, dB)
+        g = _partial_transpose(mats, dA, dB)
+        r1, r2 = self.minor_rows(dA, dB)
+        minor = g[:, r1, r1].real * g[:, r2, r2].real - np.abs(g[:, r1, r2]) ** 2
+        coh, root = _pair_terms(mats, dA, dB, *_pair_grid(dA, dB))
+        margins = _best_margin(mats, dA, dB, _pair_grid(dA, dB)).margins
+        clear = np.abs(margins) > _ROUNDOFF_ULPS * _EPS * (coh + root)
+        assert np.all(np.sign(margins[clear]) == -np.sign(minor[clear]))
+        # Both signs occur, so neither side of the identity is vacuous.
+        assert 0 < np.count_nonzero(margins[clear] > 0) < np.count_nonzero(clear)
+
+    @dims
+    def test_positive_bound_bounds_the_least_eigenvalue(self, dims):
+        dA, dB = dims
+        mats = self.stack(dA, dB)
+        best = _best_margin(mats, dA, dB, _pair_grid(dA, dB))
+        entangled = best.bound > 0.0
+        assert 0 < np.count_nonzero(entangled) < len(mats)
+        g = _partial_transpose(mats[entangled], dA, dB)
+        n = np.arange(len(g))
+        r1, r2 = (rows.reshape(-1)[best.witness[entangled]] for rows in self.minor_rows(dA, dB))
+        a, b, c = g[n, r1, r1].real, g[n, r2, r2].real, np.abs(g[n, r1, r2])
+        block_min = (a + b - np.sqrt((a - b) ** 2 + 4 * c * c)) / 2
+        assert np.all(block_min < 0.0)
+        assert np.all(np.linalg.eigvalsh(g)[:, 0] <= block_min + 1e-12)
+
+    @dims
+    def test_correlated_family_bound_is_ppt_test(self, dims):
+        # rho(p) = p |psi><psi| + (1 - p) N, psi = sum_i a_i |ii>, N diagonal.
+        # G is diagonal but for the 2x2 blocks on rows (ij), (ji), whose
+        # coherence p a_i a_j* is the margin of pair (i, j, i, j), so rho(p)
+        # is NPT exactly where the bound is positive: from p* = min over
+        # i < j of s / (|a_i a_j| + s), s = sqrt(N_ij,ij N_ji,ji).
+        dA, dB = dims
+        n, d = min(dims), dA * dB
+        grid = _pair_grid(dA, dB)
+        rng = np.random.default_rng([dA, dB])
+        for _ in range(20):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi = np.zeros(d, dtype=complex)
+            psi[np.arange(n) * (dB + 1)] = a / np.linalg.norm(a)
+            noise = rng.uniform(0.1, 1.0, d)
+            noise /= noise.sum()
+            nm, amps = noise.reshape(dA, dB), np.abs(a) / np.linalg.norm(a)
+            p_star = min(math.sqrt(nm[i, j] * nm[j, i])
+                         / (amps[i] * amps[j] + math.sqrt(nm[i, j] * nm[j, i]))
+                         for i, j in combinations(range(n), 2))
+
+            def state(p):
+                return p * np.outer(psi, psi.conj()) + (1 - p) * np.diag(noise)
+
+            def bound(p):
+                return _best_margin(state(p), dA, dB, grid).bound
+
+            near = p_star * (1 + np.array([-1e-9, 1e-9]))
+            for p in np.concatenate([rng.uniform(0, 1, 10), near]):
+                least = np.linalg.eigvalsh(_partial_transpose(state(p), dA, dB))[0]
+                assert (bound(p) > 0.0) == (least < 0.0) == (p > p_star)
+            # The bound's own threshold, bisected, is the PPT threshold.
+            lo, hi = 0.0, 1.0
+            while hi - lo > 1e-15:
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if bound(mid) > 0.0 else (mid, hi)
+            assert abs(hi - p_star) <= 1e-12

@@ -1,10 +1,11 @@
-"""Which package modules import which scipy subpackages, and who diagonalizes.
+"""Which package modules import which scipy subpackages, who diagonalizes, who runs L-BFGS.
 
 scipy.linalg (LAPACK) is called from xbound.linalg alone and scipy.optimize
 from xbound.oracle alone, so a port of either to numpy edits one module.
 A state is factored by one rule, linalg._eigen_factor, the only function
-that diagonalizes one.  The imports and calls are read from each module's
-syntax tree, not by importing it.
+that diagonalizes one.  Both searches run L-BFGS through oracle._multistart,
+the only caller of oracle.minimize.  The imports and calls are read from
+each module's syntax tree, not by importing it.
 """
 import ast
 from pathlib import Path
@@ -35,8 +36,8 @@ def test_scipy_subpackage_has_one_importer(package, owner):
     assert importers == {owner}
 
 
-def eigh_users(path: Path) -> set[str]:
-    """Functions of a module that name eigh, as an attribute or an imported name."""
+def name_users(path: Path, name: str) -> set[str]:
+    """Functions of a module that name name, as an attribute or an imported name."""
     users = set()
 
     def visit(node, scope):
@@ -44,9 +45,9 @@ def eigh_users(path: Path) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "eigh"
-                    or isinstance(child, ast.Name) and child.id == "eigh"
-                    or isinstance(child, ast.alias) and child.name == "eigh"):
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.alias) and child.name == name):
                 users.add(f"{path.stem}.{scope}")
             visit(child, scope)
     visit(ast.parse(path.read_text(), str(path)), "<module>")
@@ -55,8 +56,15 @@ def eigh_users(path: Path) -> set[str]:
 
 def test_eigh_has_one_owner_per_rule():
     # _takagi diagonalizes its real 2r x 2r Takagi matrix, not a state.
-    users = set().union(*(eigh_users(path) for path in SRC.glob("*.py")))
+    users = set().union(*(name_users(path, "eigh") for path in SRC.glob("*.py")))
     assert users == {"linalg._eigen_factor", "two_qubit._takagi"}
+
+
+def test_minimize_has_one_caller():
+    # Every L-BFGS run is one start's stage in _multistart, so a batched
+    # search replaces one loop.
+    users = set().union(*(name_users(path, "minimize") for path in SRC.glob("*.py")))
+    assert users == {"oracle._multistart"}
 
 
 def test_rank_tolerance_defined_once():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from xbound import NonFinite, StateValidationError, sample_random_density
 from xbound import io as xio
+from xbound.cli import main
 from xbound.io import load_density, make_manifest, save_density, write_manifest
 from xbound.linalg import DEFAULT_TOL, Tolerances
 from xbound.reference_states import maximally_mixed
@@ -149,6 +150,30 @@ def test_numbers_only_gate():
     for token in ('"0.0"', "true", "false", "null"):
         assert not xio._numbers_only(state_text(token).encode())
     assert not xio._numbers_only(state_text("0").replace('"im"', '"x": 1, "im"').encode())
+
+
+@pytest.mark.parametrize("key", ["dimA", "dimB"])
+@pytest.mark.parametrize("literal", ["18446744073709551616", "-9223372036854775809", "10" * 15])
+def test_dims_beyond_64_bits_stay_integers(tmp_path, capsys, key, literal):
+    # orjson reads these literals as floats and json.loads as ints; the file
+    # holds an integer, so the error is about its size, not its type.
+    m = maximally_mixed(2, 2).mat
+    text = json.dumps({"dimA": 2, "dimB": 2, "re": m.real.tolist(), "im": m.imag.tolist()})
+    path = tmp_path / "state.json"
+    path.write_text(text.replace(f'"{key}": 2', f'"{key}": {literal}'))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xio, "validate_density", lambda m, dimA, dimB, tol: seen.append((dimA, dimB)))
+        load_density(path)
+    assert seen == [{"dimA": (int(literal), 2), "dimB": (2, int(literal))}[key]]
+    assert main(["bound", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: WrongDimensions: ")
+    assert "must be an integer" not in err and literal in err
+    # A dimension written as a float still is one.
+    path.write_text(path.read_text().replace(literal, "2.0"))
+    assert main(["bound", str(path)]) == 2
+    assert f"{key} must be an integer, got 2.0" in capsys.readouterr().err
 
 
 def test_negative_zero_keeps_its_sign(tmp_path):

@@ -211,40 +211,84 @@ class TestConvexRoof:
             assert np.abs(iso - np.eye(m, r)).max() <= 1e-8
 
     def test_ensemble_size_follows_rank(self, monkeypatch):
-        # m = min(r^2, max(8, r + 4)) states, so the search runs on the 2 m r
-        # parameters of an m x r complex matrix.
+        # The identity start runs on the 2 r^2 parameters of an r x r complex
+        # matrix, and a random start on the 2 m r of an m x r one, with
+        # m = min(r^2, max(8, r + 4)) states.
         sizes = {}
 
         def record(fun, x0, args, **kwargs):
-            sizes.setdefault(rank, set()).add(x0.size)
+            sizes.setdefault(rank, []).append(x0.size)
             return oracle.MinimizeResult(x0, 0.0, 0, 0)
         monkeypatch.setattr(oracle, "minimize", record)
         for rank in range(2, 10):
-            convex_roof_upper(sample_random_density(3, 3, rank, rank), OptimizerConfig(restarts=1))
-        assert sizes == {r: {2 * m * r} for r, m in zip(range(2, 10), (4, 8, 8, 9, 10, 11, 12, 13))}
+            convex_roof_upper(sample_random_density(3, 3, rank, rank), OptimizerConfig(restarts=2))
+        stages = len(oracle._SMOOTHING)
+        assert sizes == {r: [2 * r * r] * stages + [2 * m * r] * stages
+                         for r, m in zip(range(2, 10), (4, 8, 8, 9, 10, 11, 12, 13))}
 
-    @pytest.mark.parametrize("dims,rank,m", [((3, 3), 2, 4), ((3, 3), 3, 8), ((2, 3), 4, 8),
-                                             ((3, 3), 9, 13)])
-    def test_identity_start_keeps_its_zero_rows(self, monkeypatch, dims, rank, m):
-        # Rows r..m-1 of the identity start are 0, and so is their gradient:
-        # their columns are zero, and a zero column's concurrence has gradient
-        # 0.  Every L-BFGS step keeps them 0, so that start searches size-r
-        # ensembles whatever m is; only random starts reach size m.
-        ends = []
+    @pytest.mark.parametrize("dims,rank", [((2, 3), 2), ((2, 3), 3), ((3, 3), 2), ((3, 3), 3),
+                                           ((3, 3), 4)], ids=["2x3-r2", "2x3-r3", "3x3-r2",
+                                                              "3x3-r3", "3x3-r4"])
+    def test_identity_start_matches_zero_padded_run(self, monkeypatch, dims, rank):
+        # Padded to m rows, the identity start's rows r..m-1 are 0, and so is
+        # their gradient: their columns are zero, and a zero column's
+        # concurrence has gradient 0.  Every L-BFGS step keeps them 0, so the
+        # padded run searches the size-r ensembles the size-r start does, and
+        # ends at its value up to roundoff wherever no stage meets max_iters.
+        # (2x3 at rank 4 takes 40-150 iterations a stage, and roundoff along
+        # those paths moves the end by up to 1.7e-6 either way.)
+        q = sample_random_density(*dims, rank, rank)
+        cfg = OptimizerConfig(restarts=1, max_iters=150)
+        runs = []
         minimize = oracle.minimize
 
         def record(*args, **kwargs):
             res = minimize(*args, **kwargs)
-            ends.append(res.x.copy().reshape(2, m, rank))
+            runs.append((args[1].size, res.nit))
             return res
         monkeypatch.setattr(oracle, "minimize", record)
-        q = (isotropic_matrix(IsotropicState(d=3, F=0.5)) if rank == 9
-             else sample_random_density(*dims, rank, rank))
-        convex_roof_upper(q, OptimizerConfig(restarts=1, max_iters=150))
-        assert len(ends) == len(oracle._SMOOTHING)
-        assert np.any(ends[0][0, :rank] != np.eye(rank))  # the search moved
-        for z in ends:
-            assert np.all(z[:, rank:] == 0.0)
+        value = convex_roof_upper(q, cfg).value
+        assert [size for size, _ in runs] == [2 * rank * rank] * len(oracle._SMOOTHING)
+        assert runs[0][1] > 0  # the search moved
+        assert all(nit < cfg.max_iters for _, nit in runs)
+
+        w = linalg._eigen_factor(q.mat)
+        m = min(rank * rank, max(8, rank + 4))
+
+        def average(x):
+            cols = w @ _isometry(x, m, rank)[0].T
+            return float(oracle._column_concurrence(cols, *dims).sum())
+        x = np.concatenate([np.eye(m, rank).ravel(), np.zeros(m * rank)])
+        padded = average(x)
+        for smoothing in oracle._SMOOTHING:
+            x = minimize(_ensemble_average, x, args=(w, m, rank, *dims, smoothing),
+                         maxiter=cfg.max_iters, ftol=1e-8, gtol=1e-8).x
+            assert np.all(x.reshape(2, m, rank)[:, rank:] == 0.0)
+            padded = min(padded, average(x))
+        assert value == pytest.approx(padded, abs=1e-12)
+
+    @pytest.mark.parametrize("case,builds", [("lean-3x3-roof", 0), ("rotated-bell-basis", 0),
+                                             ("roof-random-starts", 1)])
+    def test_generator_built_only_for_random_starts(self, monkeypatch, case, builds):
+        # The lean roof runs its identity start alone, and the basis search
+        # of a rotated Bell state stops at its Schmidt start, so neither
+        # builds a generator; a search with random starts builds one for all.
+        if case == "rotated-bell-basis":
+            q = conjugate_by_local_unitary(projector(bell_phi_plus()),
+                                           sample_haar_unitary(2, 21), sample_haar_unitary(2, 22))
+            run = functools.partial(optimize_basis, q, OptimizerConfig(restarts=10))
+        else:
+            restarts = 1 if case == "lean-3x3-roof" else 3
+            run = functools.partial(convex_roof_upper, sample_random_density(3, 3, 3, 2),
+                                    OptimizerConfig(restarts=restarts, max_iters=150, seed=5))
+        calls = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: calls.append(args) or real_rng(*args))
+        run()
+        assert len(calls) == builds
+        if builds:
+            assert calls == [(5,)]
 
     def test_keeps_best_stage(self, monkeypatch):
         # A final stage that ends above the 1e-6 stage must not replace its
@@ -320,14 +364,16 @@ class TestConvexRoof:
 
     @pytest.mark.parametrize("dims,rank,m", ROOF_GRADIENT_CASES)
     def test_ensemble_average_gradient_at_identity(self, dims, rank, m):
-        # The identity isometry is every search's first start; QR's column
-        # signs must not jump there.
+        # The identity isometry is every search's first start, at size r in
+        # the roof search; QR's column signs must not jump there.
         dA, dB = dims
         w = eigen_weights(sample_random_density(dA, dB, rank, 31), rank)
-        x_eye = np.concatenate([np.eye(m, rank).ravel(), np.zeros(m * rank)])
-        grad = _ensemble_average(x_eye, w, m, rank, dA, dB)[1]
-        numeric = central_difference(lambda y: _ensemble_average(y, w, m, rank, dA, dB)[0], x_eye)
-        assert np.abs(grad - numeric).max() <= 1e-7
+        for size in (m, rank):
+            x_eye = np.concatenate([np.eye(size, rank).ravel(), np.zeros(size * rank)])
+            grad = _ensemble_average(x_eye, w, size, rank, dA, dB)[1]
+            numeric = central_difference(
+                lambda y: _ensemble_average(y, w, size, rank, dA, dB)[0], x_eye)
+            assert np.abs(grad - numeric).max() <= 1e-7
 
     @pytest.mark.parametrize("d,F", [(3, 0.5), (3, 0.9), (4, 0.8)])
     def test_calibrated_on_isotropic_states(self, d, F):
@@ -606,7 +652,7 @@ class TestFuzz:
         # so no trial has a seed of its own and the report is fixed by seed.
         rep = fuzz_inequality(60, (3, 3), 7)
         assert (rep.violations, rep.max_gap, rep.min_slack) == (
-            0, 0.7686319995240591, 0.13289290532440873)
+            0, 0.7686319995240589, 0.13283677973829353)
 
 
 class TestOptimizeBasis:
